@@ -29,7 +29,6 @@
 #ifndef CROWDTOPK_BENCH_HARNESS_H_
 #define CROWDTOPK_BENCH_HARNESS_H_
 
-#include <cctype>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -48,7 +47,6 @@
 #include "data/generators.h"
 #include "metrics/ranking_metrics.h"
 #include "metrics/trace_aggregate.h"
-#include "telemetry/export.h"
 #include "telemetry/recorder.h"
 #include "util/check.h"
 #include "util/env.h"
@@ -76,17 +74,6 @@ struct Averages {
   double ndcg = 0.0;
   double precision = 0.0;
 };
-
-// Sanitises a display name ("SPR", "TourTree") into a file-name token.
-inline std::string TraceFileToken(const std::string& name) {
-  std::string token;
-  for (char c : name) {
-    token += std::isalnum(static_cast<unsigned char>(c))
-                 ? static_cast<char>(std::tolower(c))
-                 : '_';
-  }
-  return token.empty() ? "algo" : token;
-}
 
 // Monotone id distinguishing the experiment points of one bench binary
 // (each AverageRuns/AverageOver call is one point). Bench binaries execute
@@ -156,16 +143,14 @@ inline void DumpTrace(const telemetry::TraceRecorder& recorder,
   std::snprintf(suffix, sizeof(suffix), "_p%lld_r%lld",
                 static_cast<long long>(point), static_cast<long long>(run));
   const std::string stem = util::TraceDir() + "/" + util::ProgramName() +
-                           "_" + TraceFileToken(algorithm_name) + suffix;
+                           "_" + metrics::TraceFileToken(algorithm_name) +
+                           suffix;
   const util::Status status =
-      telemetry::WriteJsonlFile(recorder.events(), stem + ".trace.jsonl");
+      metrics::WriteTraceFiles(recorder.events(), stem, algorithm_name);
   if (!status.ok()) {
     std::fprintf(stderr, "trace: %s\n", status.ToString().c_str());
     return;
   }
-  metrics::PhaseTable(metrics::AggregateByPhaseRollup(recorder.events()),
-                      algorithm_name)
-      .WriteCsv(stem + ".phases.csv");
   std::fprintf(stderr, "trace: wrote %s.trace.jsonl\n", stem.c_str());
 }
 

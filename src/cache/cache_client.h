@@ -3,7 +3,7 @@
 // A client binds three things the shared cache cannot know by itself:
 //
 //   * the query id, which orders this query's deferred-commit inserts at
-//     the serving layer's quiescence barriers;
+//     the serving layer's barriers between rounds;
 //   * the universe id, namespacing entries per underlying oracle so that
 //     queries over different datasets never share verdicts;
 //   * an optional local-to-universe item-id translation, so a query running
@@ -14,8 +14,8 @@
 // serving layer exports as cache/* telemetry counters per query
 // (docs/OBSERVABILITY.md).
 //
-// A client is owned by exactly one driver thread (like the platform it is
-// attached to via crowd::CrowdPlatform::SetCacheClient); the shared cache it
+// A client is owned by exactly one query (like the platform it is attached
+// to via crowd::CrowdPlatform::SetCacheClient); the shared cache it
 // forwards to is thread-safe.
 
 #ifndef CROWDTOPK_CACHE_CACHE_CLIENT_H_

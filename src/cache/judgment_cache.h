@@ -28,14 +28,14 @@
 //
 // Concurrency and determinism (the src/exec contract): the committed map is
 // mutex-sharded for cheap concurrent lookups. Under the serving layer
-// (src/serve) the cache runs in *deferred-commit* mode: driver threads stage
-// their completed comparisons, and the service thread applies the staged
-// inserts at the scheduler's existing quiescence barriers — sorted by query
-// id — so every driver observes a snapshot that is a pure function of
-// (options, seed, trace) and the replay stays byte-identical for any
-// CROWDTOPK_JOBS value. Two queries that race on the same cold pair within
-// one global round both buy it (the price of determinism); the merge rule
-// below resolves their inserts identically regardless of thread timing.
+// (src/serve) the cache runs in *deferred-commit* mode: queries stage their
+// completed comparisons, and the replay loop applies the staged inserts at
+// the barrier after each stepping pass — sorted by query id — so every
+// query in a pass observes the same snapshot, a pure function of (options,
+// seed, trace), and the replay stays byte-identical for any CROWDTOPK_JOBS
+// value. Two queries that reach the same cold pair within one global round
+// both buy it (the price of determinism); the merge rule below resolves
+// their inserts identically regardless of which stepped first.
 //
 // Entries live in per-universe namespaces: queries only share judgments when
 // their CacheClients declare the same universe (same oracle) and translate
@@ -74,8 +74,9 @@ struct CacheOptions {
   // Serve single-hop transitively inferred verdicts (off by default).
   bool transitivity = false;
   // Deferred-commit mode: Record() stages inserts per query and only
-  // CommitPending() — called at a point where no driver runs, e.g. the
-  // serving layer's quiescence barrier — applies them, in query-id order.
+  // CommitPending() — called at a point where no query runs, e.g. the
+  // serving layer's barrier between rounds — applies them, in query-id
+  // order.
   // When false, Record() commits immediately (single-threaded replays).
   bool deferred_commit = false;
 };
@@ -113,7 +114,7 @@ struct LookupResult {
   CachedComparison entry;
 };
 
-// Monotone counters; readable at any time, exact once quiescent.
+// Monotone counters; readable at any time, exact between stepping passes.
 struct CacheStats {
   int64_t lookups = 0;
   int64_t hits = 0;
@@ -171,20 +172,21 @@ class JudgmentCache {
               const CachedComparison& entry);
 
   // Applies staged inserts in (query id, staging order). Call only while no
-  // driver is recording or looking up — the serving layer calls it at its
-  // quiescence barriers. No-op in immediate mode. When `applied` is
+  // query is recording or looking up — the serving layer calls it at its
+  // barriers between rounds. No-op in immediate mode. When `applied` is
   // non-null, every staged insert is appended to it in apply order
   // (canonical orientation, regardless of the capacity/merge outcome) — the
   // write-ahead log records exactly this sequence.
   void CommitPending(std::vector<ExportedEntry>* applied = nullptr);
 
   // Deterministic dump of every committed entry, sorted by (universe, pair,
-  // kind): the snapshot image. Call only while quiescent.
+  // kind): the snapshot image. Call only while no query runs.
   std::vector<ExportedEntry> Export() const;
 
   // Commits previously exported entries into an (typically fresh) cache —
   // the warm-restart path. Counted under CacheStats::restored rather than
-  // inserts; the capacity bound still applies. Call only while quiescent.
+  // inserts; the capacity bound still applies. Call only while no query
+  // runs.
   void RestoreEntries(const std::vector<ExportedEntry>& entries);
 
   CacheStats stats() const;

@@ -1,6 +1,9 @@
 #include "metrics/trace_aggregate.h"
 
+#include <cctype>
 #include <cstdio>
+
+#include "telemetry/export.h"
 
 namespace crowdtopk::metrics {
 
@@ -93,6 +96,26 @@ util::TablePrinter PhaseTable(const std::map<std::string, PhaseStat>& stats,
     table.AddRow(std::move(row));
   }
   return table;
+}
+
+std::string TraceFileToken(const std::string& name) {
+  std::string token;
+  for (char c : name) {
+    token += std::isalnum(static_cast<unsigned char>(c))
+                 ? static_cast<char>(std::tolower(c))
+                 : '_';
+  }
+  return token.empty() ? "algo" : token;
+}
+
+util::Status WriteTraceFiles(const std::vector<telemetry::TraceEvent>& events,
+                             const std::string& stem,
+                             const std::string& title) {
+  CROWDTOPK_RETURN_IF_ERROR(
+      telemetry::WriteJsonlFile(events, stem + ".trace.jsonl"));
+  PhaseTable(AggregateByPhaseRollup(events), title)
+      .WriteCsv(stem + ".phases.csv");
+  return util::Status::Ok();
 }
 
 }  // namespace crowdtopk::metrics

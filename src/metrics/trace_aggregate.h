@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "telemetry/events.h"
+#include "util/status.h"
 #include "util/table.h"
 
 namespace crowdtopk::metrics {
@@ -54,6 +55,16 @@ double LastCounter(const std::vector<telemetry::TraceEvent>& events,
 // phase | microtasks | rounds | purchases, sorted by phase path.
 util::TablePrinter PhaseTable(const std::map<std::string, PhaseStat>& stats,
                               const std::string& title);
+
+// Sanitises a display name ("SPR", "TourTree") into a file-name token.
+std::string TraceFileToken(const std::string& name);
+
+// Writes `events` to <stem>.trace.jsonl and their rolled-up PhaseTable
+// (titled `title`) to <stem>.phases.csv. Returns the JSONL write's status;
+// the CSV is skipped when that write fails.
+util::Status WriteTraceFiles(const std::vector<telemetry::TraceEvent>& events,
+                             const std::string& stem,
+                             const std::string& title);
 
 }  // namespace crowdtopk::metrics
 

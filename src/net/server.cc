@@ -896,6 +896,10 @@ class Server::Impl {
   // False on a fatal send error.
   bool FlushWrites(Connection* conn) {
     while (conn->woff < conn->wbuf.size()) {
+      // Stamp activity with the time *before* the send: once the peer has
+      // the bytes it may advance an injected clock, and a stamp taken after
+      // the send could land past that advance and defer the idle timeout.
+      const int64_t now = NowMs();
       const ssize_t n =
           ::send(conn->fd, conn->wbuf.data() + conn->woff,
                  conn->wbuf.size() - conn->woff, MSG_NOSIGNAL);
@@ -903,7 +907,7 @@ class Server::Impl {
         conn->woff += static_cast<size_t>(n);
         conn->bytes_out += n;
         bytes_out_.fetch_add(n, std::memory_order_relaxed);
-        conn->last_activity_ms = NowMs();
+        conn->last_activity_ms = now;
         continue;
       }
       return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;

@@ -13,7 +13,7 @@
 //                        dropped — never a crash, never silent corruption.
 //
 //   snapshot-<barrier>.snap
-//                        full state image at one quiescence barrier:
+//                        full state image at one barrier:
 //                        header (magic, version, flags, payload length,
 //                        CRC32) + payload. Written atomically
 //                        (util::WriteFileAtomic), so a reader sees either
@@ -68,7 +68,7 @@ struct CompleteRecord {
   std::vector<int32_t> items;
 };
 
-// Seals one quiescence barrier.
+// Seals one barrier.
 struct BarrierRecord {
   int64_t barrier = 0;       // 0-based barrier sequence number
   int64_t round = 0;         // scheduler's global round counter

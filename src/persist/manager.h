@@ -16,12 +16,11 @@
 //     digest), making "byte-identical warm state" a checked property
 //     instead of an assumption;
 //   * live durability past the frontier — one framed, CRC'd, optionally
-//     fsynced WAL batch per quiescence barrier, snapshots every
+//     fsynced WAL batch per barrier, snapshots every
 //     `snapshot_every` barriers, older artifacts pruned.
 //
-// The manager is driven from the service thread only (event hooks between
-// barriers, OnBarrier at each quiescence point); it has no locking of its
-// own. A manager with an empty `dir` is inert: every call is a cheap
+// The manager is driven from the replay loop only (event hooks between
+// barriers, OnBarrier at each barrier); it has no locking of its own. A manager with an empty `dir` is inert: every call is a cheap
 // no-op, so callers need no persistence-enabled branches.
 
 #ifndef CROWDTOPK_PERSIST_MANAGER_H_
@@ -118,7 +117,7 @@ class PersistenceManager {
   void OnComplete(const CompleteRecord& record);
   void OnCacheInsert(const cache::ExportedEntry& entry);
 
-  // Seals the current batch at a quiescence barrier: verifies during
+  // Seals the current batch at a barrier: verifies during
   // catch-up, appends + maybe snapshots when live. `round`, `now_seconds`,
   // `next_arrival`, `done` describe the replay position.
   util::Status OnBarrier(int64_t round, double now_seconds,

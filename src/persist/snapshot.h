@@ -1,4 +1,4 @@
-// Snapshot: the full durable-state image at one quiescence barrier.
+// Snapshot: the full durable-state image at one barrier.
 //
 // A snapshot captures everything a resumed run needs to verify (and a warm
 // restart needs to reuse): the barrier position and chained digest, the
@@ -23,7 +23,7 @@
 namespace crowdtopk::persist {
 
 // Admission state of one query that was in flight at the snapshot barrier.
-// The mid-algorithm state itself lives on a driver stack and is
+// The mid-algorithm state itself lives on the query's fiber stack and is
 // regenerated deterministically by catch-up re-execution; the descriptor
 // is recorded for observability and divergence triage.
 struct InflightDescriptor {

@@ -1,6 +1,6 @@
 // Write-ahead log: segmented, CRC-framed, torn-tail tolerant.
 //
-// The serving layer appends one batch of records per quiescence barrier
+// The serving layer appends one batch of records per barrier
 // (event records followed by the sealing kBarrier record) — a single
 // write(2) and, with fsync enabled, a single fdatasync(2), so durability
 // costs one I/O round-trip per global round. Segments rotate at a size

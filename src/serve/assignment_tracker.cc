@@ -14,22 +14,6 @@ AssignmentTracker::AssignmentTracker(int64_t max_attempts)
 void AssignmentTracker::Enqueue(const Assignment& assignment) {
   CROWDTOPK_CHECK_EQ(assignment.attempt, 0);
   pending_[assignment.query_id].push_back(assignment);
-  ++stats_.enqueued;
-}
-
-bool AssignmentTracker::HasPending() const {
-  for (const auto& [query, fifo] : pending_) {
-    if (!fifo.empty()) return true;
-  }
-  return false;
-}
-
-int64_t AssignmentTracker::pending_count() const {
-  int64_t count = 0;
-  for (const auto& [query, fifo] : pending_) {
-    count += static_cast<int64_t>(fifo.size());
-  }
-  return count;
 }
 
 std::vector<Assignment> AssignmentTracker::TakeWave(int64_t rotation,

@@ -15,8 +15,7 @@
 // query starves while another floods the platform. Selection is a pure
 // function of the tracker state and the rotation index — no clocks, no
 // thread identity — which is what keeps the whole serving layer bit-
-// deterministic. Thread safety is the caller's job: the BatchScheduler only
-// touches the tracker under its own mutex.
+// deterministic. Not thread-safe; the BatchScheduler owns it.
 
 #ifndef CROWDTOPK_SERVE_ASSIGNMENT_TRACKER_H_
 #define CROWDTOPK_SERVE_ASSIGNMENT_TRACKER_H_
@@ -43,7 +42,6 @@ struct Assignment {
 
 // Lifetime counters over all assignments the tracker has seen.
 struct AssignmentStats {
-  int64_t enqueued = 0;   // distinct microtasks registered
   int64_t scheduled = 0;  // dispatch attempts handed to the crowd
   int64_t completed = 0;  // attempts that came back with a judgment
   int64_t expired = 0;    // attempts abandoned or past the deadline
@@ -58,9 +56,6 @@ class AssignmentTracker {
 
   // Registers a fresh microtask (attempt 0) at the back of its query's FIFO.
   void Enqueue(const Assignment& assignment);
-
-  bool HasPending() const;
-  int64_t pending_count() const;
 
   // Selects the next round's wave: at most `capacity` assignments in total
   // and at most `per_pair_cap` for any one (query, pair) — the paper's

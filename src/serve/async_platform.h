@@ -3,20 +3,16 @@
 //
 // Algorithms (SPR and every baseline, APIs unmodified) drive a
 // crowd::CrowdPlatform. AsyncPlatform derives from it: judgment *values*
-// and cost/round accounting are delegated to the base class — so a query
-// served through this adapter buys the exact judgment stream, TMC, and
-// private round count it would buy on a private platform with the same
-// seed — while every purchase is additionally registered with the shared
-// scheduler and every round boundary parks the driver thread until the
-// crowd has actually worked the query's microtasks off. The base class's
-// rounds() counter therefore reads as the query's *private* latency (what
-// it would cost alone, the paper's Section 5.5 metric) and the scheduler's
-// global round span as its *observed* latency including cross-query
-// contention, stragglers, and requeues.
+// and cost/round accounting are delegated to the base class — so a served
+// query buys the exact judgment stream, TMC, and private round count it
+// would buy on a private platform with the same seed — while every purchase
+// is also posted to the scheduler and every round boundary yields the
+// query's fiber until the crowd has worked its microtasks off. rounds()
+// therefore reads as the query's *private* latency (the paper's Section 5.5
+// metric) and the scheduler's global round span as its *observed* latency,
+// including contention, stragglers, and requeues.
 //
-// One AsyncPlatform is owned by exactly one driver thread; it is as
-// thread-compatible as the base class (not thread-safe) and relies on the
-// scheduler for all cross-thread coordination.
+// Use only from inside the fiber the scheduler admitted for `query_id`.
 
 #ifndef CROWDTOPK_SERVE_ASYNC_PLATFORM_H_
 #define CROWDTOPK_SERVE_ASYNC_PLATFORM_H_
@@ -44,11 +40,11 @@ class AsyncPlatform : public crowd::CrowdPlatform {
   void CollectGrades(crowd::ItemId i, int64_t count,
                      std::vector<double>* out) override;
 
-  // Parks until this query's outstanding microtasks are worked off and one
+  // Yields until this query's outstanding microtasks are worked off and one
   // more global round has closed.
   void NextRound() override;
 
-  // Parks until outstanding microtasks are worked off and `n` more global
+  // Yields until outstanding microtasks are worked off and `n` more global
   // rounds have closed.
   void AccountRounds(int64_t n) override;
 
@@ -56,8 +52,6 @@ class AsyncPlatform : public crowd::CrowdPlatform {
   // another round. QueryService calls this after the algorithm returns, so
   // a query never finishes with work still queued at the crowd.
   void Drain();
-
-  int64_t query_id() const { return query_id_; }
 
  private:
   BatchScheduler* scheduler_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "exec/parallel_for.h"
 #include "util/check.h"
@@ -38,108 +39,53 @@ BatchScheduler::BatchScheduler(const ScheduleOptions& options, uint64_t seed,
                   0.5 * options.task_time_sigma * options.task_time_sigma;
 }
 
-void BatchScheduler::AdmitQuery(int64_t query_id, int64_t seed_stream) {
-  std::lock_guard<std::mutex> lock(mutex_);
+void BatchScheduler::AdmitQuery(int64_t query_id, int64_t seed_stream,
+                                std::function<void()> driver) {
   CROWDTOPK_CHECK(queries_.find(query_id) == queries_.end());
   QueryState& q = queries_[query_id];
-  q.seed_stream = seed_stream >= 0 ? seed_stream : query_id;
+  q.seed_stream = seed_stream;
+  q.fiber = std::make_unique<Fiber>(std::move(driver));
   q.barrier_round = round_;
   q.stats.admitted_round = round_;
   q.stats.admitted_seconds = now_seconds_;
-  ++running_;
 }
 
-void BatchScheduler::WaitQuiescent() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  quiescent_.wait(lock, [this] { return running_ == 0; });
-}
-
-bool BatchScheduler::AnyParked() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [id, q] : queries_) {
-    if (q.parked && !q.finished) return true;
+bool BatchScheduler::Step(int64_t query_id) {
+  QueryState& q = queries_.at(query_id);
+  if (q.fiber == nullptr || !BarrierSatisfied(q) || !q.fiber->Resume()) {
+    return false;
   }
-  return false;
-}
-
-void BatchScheduler::AdvanceTimeTo(double seconds) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  CROWDTOPK_CHECK_EQ(running_, 0);
-  now_seconds_ = std::max(now_seconds_, seconds);
-}
-
-std::vector<int64_t> BatchScheduler::DrainFinished() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<int64_t> finished;
-  finished.swap(newly_finished_);
-  return finished;
-}
-
-double BatchScheduler::now_seconds() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return now_seconds_;
-}
-
-int64_t BatchScheduler::round() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return round_;
-}
-
-QueryServeStats BatchScheduler::QueryStats(int64_t query_id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queries_.at(query_id).stats;
-}
-
-AssignmentStats BatchScheduler::assignment_stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return tracker_.stats();
+  q.fiber.reset();
+  // Queries drain before returning (AsyncPlatform::Drain), so no pending
+  // work of this query can be left behind to stall the tracker.
+  CROWDTOPK_CHECK_GE(q.resolved, q.posted);
+  q.stats.finished_round = round_;
+  q.stats.finished_seconds = now_seconds_;
+  return true;
 }
 
 void BatchScheduler::PostPurchase(int64_t query_id, crowd::ItemId i,
                                   crowd::ItemId j, int64_t count) {
   if (count <= 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
   QueryState& q = queries_.at(query_id);
-  CROWDTOPK_CHECK(!q.finished);
+  CROWDTOPK_CHECK(q.fiber != nullptr);
   const int64_t request_seq = q.next_request_seq++;
   for (int64_t t = 0; t < count; ++t) {
-    Assignment assignment;
-    assignment.query_id = query_id;
-    assignment.seed_stream = q.seed_stream;
-    assignment.request_seq = request_seq;
-    assignment.task_index = t;
-    assignment.item_i = i;
-    assignment.item_j = j;
-    tracker_.Enqueue(assignment);
+    tracker_.Enqueue({.query_id = query_id,
+                      .seed_stream = q.seed_stream,
+                      .request_seq = request_seq,
+                      .task_index = t,
+                      .item_i = i,
+                      .item_j = j});
   }
   q.posted += count;
 }
 
 void BatchScheduler::Barrier(int64_t query_id, int64_t rounds) {
   CROWDTOPK_CHECK_GE(rounds, 0);
-  std::unique_lock<std::mutex> lock(mutex_);
   QueryState& q = queries_.at(query_id);
   q.barrier_round = round_ + rounds;
-  if (BarrierSatisfied(q)) return;
-  q.parked = true;
-  --running_;
-  quiescent_.notify_all();
-  unparked_.wait(lock, [&q] { return !q.parked; });
-}
-
-void BatchScheduler::FinishQuery(int64_t query_id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  QueryState& q = queries_.at(query_id);
-  CROWDTOPK_CHECK(!q.finished);
-  // Drivers drain before finishing (AsyncPlatform::Drain), so no pending
-  // work of this query can be left behind to stall the tracker.
-  CROWDTOPK_CHECK_GE(q.resolved, q.posted);
-  q.finished = true;
-  q.stats.finished_round = round_;
-  q.stats.finished_seconds = now_seconds_;
-  newly_finished_.push_back(query_id);
-  --running_;
-  quiescent_.notify_all();
+  while (!BarrierSatisfied(q)) q.fiber->Yield();
 }
 
 BatchScheduler::AttemptOutcome BatchScheduler::SimulateAttempt(
@@ -181,63 +127,50 @@ BatchScheduler::AttemptOutcome BatchScheduler::SimulateAttempt(
 }
 
 void BatchScheduler::ExecuteRound() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  CROWDTOPK_CHECK_EQ(running_, 0);
-
   const std::vector<Assignment> wave = tracker_.TakeWave(
       round_, options_.crowd_workers, options_.per_pair_batch);
   double duration = 0.0;
-  if (!wave.empty()) {
-    // Fan the wave simulation out on the thread pool: outcome[i] is a pure
-    // function of wave[i], so any worker count produces identical results.
-    std::vector<AttemptOutcome> outcomes(wave.size());
-    exec::ParallelFor(pool_, 0, static_cast<int64_t>(wave.size()),
-                      [&](int64_t i) { outcomes[i] = SimulateAttempt(wave[i]); });
-    bool any_expired = false;
-    for (size_t i = 0; i < wave.size(); ++i) {
-      QueryState& q = queries_.at(wave[i].query_id);
-      switch (tracker_.Resolve(wave[i], outcomes[i].expired)) {
-        case AssignmentTracker::Resolution::kCompleted:
-          ++q.resolved;
-          duration = std::max(duration, outcomes[i].latency_seconds);
-          break;
-        case AssignmentTracker::Resolution::kRequeued:
-          ++q.stats.expired_assignments;
-          ++q.stats.requeued_assignments;
-          any_expired = true;
-          break;
-        case AssignmentTracker::Resolution::kFailed:
-          // Give up on the microtask so the barrier can release; the query
-          // is marked failed and the service reports the status instead of
-          // the (already computed) answer.
-          ++q.resolved;
-          ++q.stats.expired_assignments;
-          ++q.stats.failed_assignments;
-          any_expired = true;
-          if (q.stats.status.ok()) {
-            q.stats.status = util::Status::ResourceExhausted(
-                "assignment for pair (" + std::to_string(wave[i].item_i) +
-                ", " + std::to_string(wave[i].item_j) + ") of query " +
-                std::to_string(wave[i].query_id) + " expired " +
-                std::to_string(tracker_.max_attempts()) + " times");
-          }
-          break;
-      }
+  // Fan the wave simulation out on the thread pool: outcome[i] is a pure
+  // function of wave[i], so any worker count produces identical results.
+  std::vector<AttemptOutcome> outcomes(wave.size());
+  exec::ParallelFor(pool_, 0, static_cast<int64_t>(wave.size()),
+                    [&](int64_t i) { outcomes[i] = SimulateAttempt(wave[i]); });
+  bool any_expired = false;
+  for (size_t i = 0; i < wave.size(); ++i) {
+    QueryState& q = queries_.at(wave[i].query_id);
+    switch (tracker_.Resolve(wave[i], outcomes[i].expired)) {
+      case AssignmentTracker::Resolution::kCompleted:
+        ++q.resolved;
+        duration = std::max(duration, outcomes[i].latency_seconds);
+        break;
+      case AssignmentTracker::Resolution::kRequeued:
+        ++q.stats.expired_assignments;
+        ++q.stats.requeued_assignments;
+        any_expired = true;
+        break;
+      case AssignmentTracker::Resolution::kFailed:
+        // Give up on the microtask so the barrier can release; the query
+        // is marked failed and the service reports the status instead of
+        // the (already computed) answer.
+        ++q.resolved;
+        ++q.stats.expired_assignments;
+        ++q.stats.failed_assignments;
+        any_expired = true;
+        if (q.stats.status.ok()) {
+          q.stats.status = util::Status::ResourceExhausted(
+              "assignment for pair (" + std::to_string(wave[i].item_i) +
+              ", " + std::to_string(wave[i].item_j) + ") of query " +
+              std::to_string(wave[i].query_id) + " expired " +
+              std::to_string(tracker_.max_attempts()) + " times");
+        }
+        break;
     }
-    // The round is a barrier: if anything expired, the platform waited out
-    // the full deadline before requeueing.
-    if (any_expired) duration = options_.deadline_seconds;
   }
+  // The round is a barrier: if anything expired, the platform waited out
+  // the full deadline before requeueing.
+  if (any_expired) duration = options_.deadline_seconds;
   ++round_;
   now_seconds_ += duration;
-
-  for (auto& [id, q] : queries_) {
-    if (q.parked && BarrierSatisfied(q)) {
-      q.parked = false;
-      ++running_;
-    }
-  }
-  unparked_.notify_all();
 }
 
 }  // namespace crowdtopk::serve

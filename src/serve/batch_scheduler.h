@@ -3,25 +3,18 @@
 // The paper's latency model runs one query against a private crowd: each
 // batch round, every undecided pair advances by up to eta microtasks in
 // parallel (Section 5.5). The serving layer generalises this to many
-// queries competing for one crowd of W worker slots per round. Query driver
-// threads post purchases (PostPurchase) and park at round boundaries
-// (Barrier); the scheduler — driven by the QueryService thread — waits until
-// every in-flight driver is parked or finished (quiescence), then executes
-// one *global* round: it draws a wave of at most W assignments from the
-// AssignmentTracker (eta per pair, round-robin across queries), simulates
-// each worker's pickup/work latency and abandonment, requeues expired
-// assignments, advances the simulated clock, and unparks the queries whose
-// barrier condition is met.
+// queries competing for one crowd of W worker slots per round. Each
+// admitted query runs on its own Fiber, posting purchases (PostPurchase)
+// and yielding at round boundaries (Barrier); QueryService steps the
+// fibers between rounds. ExecuteRound then runs one *global* round: a wave
+// of at most W assignments from the AssignmentTracker (eta per pair,
+// round-robin across queries), each worker's simulated pickup/work latency
+// and abandonment, requeues, and the simulated clock.
 //
-// Determinism contract (matches src/exec): the entire simulation is a pure
-// function of (options, seed, the queries' own purchase streams). Worker
-// latencies are derived per (query, request, task, attempt) via chained
-// util::SplitSeed — never from a shared draw-order-dependent stream — so
-// the per-round wave simulation can fan out on an exec::ThreadPool with any
-// number of threads and still produce bit-identical reports. The quiescence
-// barrier removes the remaining source of nondeterminism: global rounds
-// only close when no driver is mutating its query state, so the wave
-// content never depends on OS scheduling.
+// Worker latencies are derived per (query, request, task, attempt) via
+// chained util::SplitSeed — never from a shared draw-order-dependent
+// stream — so the wave simulation can fan out on an exec::ThreadPool with
+// any number of threads and still produce bit-identical reports.
 //
 // An assignment that expires max_attempts times is dropped and the owning
 // query is marked failed (util::Status kResourceExhausted); the query still
@@ -31,15 +24,17 @@
 #ifndef CROWDTOPK_SERVE_BATCH_SCHEDULER_H_
 #define CROWDTOPK_SERVE_BATCH_SCHEDULER_H_
 
-#include <condition_variable>
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
-#include <mutex>
+#include <memory>
 #include <vector>
 
 #include "crowd/types.h"
 #include "exec/thread_pool.h"
 #include "serve/assignment_tracker.h"
+#include "serve/fiber.h"
 #include "util/status.h"
 
 namespace crowdtopk::serve {
@@ -94,62 +89,60 @@ class BatchScheduler {
   BatchScheduler(const BatchScheduler&) = delete;
   BatchScheduler& operator=(const BatchScheduler&) = delete;
 
-  // ----- service-thread interface -------------------------------------
+  // ----- serve-loop interface ------------------------------------------
 
-  // Registers query `query_id` and counts its driver as running. Call
-  // before launching the driver thread. `seed_stream` keys the query's
-  // worker-latency stream (QueryRequest::seed_stream; pass the query id
-  // for the classic local behaviour — the default keeps old callers
-  // byte-identical).
-  void AdmitQuery(int64_t query_id, int64_t seed_stream = -1);
+  // Registers query `query_id` and maps its fiber, which will run `driver`
+  // on the first Step(). `driver` runs the query to completion and must
+  // Drain its AsyncPlatform before returning. `seed_stream` keys the
+  // query's worker-latency stream (the query id, or the global id a shard
+  // router stamped into QueryRequest::seed_stream).
+  void AdmitQuery(int64_t query_id, int64_t seed_stream,
+                  std::function<void()> driver);
 
-  // Blocks until every admitted driver is parked or finished.
-  void WaitQuiescent();
+  // Resumes the query's fiber if it is runnable — unfinished, and just
+  // admitted or with its barrier condition met — until it yields at an
+  // unsatisfied Barrier or its driver returns. Returns true when the driver
+  // returned: the query is then finished (completion round/time stamped)
+  // and its stack unmapped.
+  bool Step(int64_t query_id);
 
-  // True while some admitted, unfinished query is parked (i.e. a round must
-  // run for the system to make progress). Call only when quiescent.
-  bool AnyParked() const;
-
-  // Executes one global round. Call only when quiescent.
+  // Executes one global round. Call between Step() passes.
   void ExecuteRound();
 
   // Fast-forwards the simulated clock to `seconds` (only forward; used to
-  // idle until the next arrival). Call only when quiescent.
-  void AdvanceTimeTo(double seconds);
+  // idle until the next arrival).
+  void AdvanceTimeTo(double seconds) {
+    now_seconds_ = std::max(now_seconds_, seconds);
+  }
 
-  // Returns the ids of queries that finished since the last call.
-  std::vector<int64_t> DrainFinished();
+  double now_seconds() const { return now_seconds_; }
+  int64_t round() const { return round_; }
+  const QueryServeStats& QueryStats(int64_t query_id) const {
+    return queries_.at(query_id).stats;
+  }
+  const AssignmentStats& assignment_stats() const { return tracker_.stats(); }
 
-  double now_seconds() const;
-  int64_t round() const;
-  QueryServeStats QueryStats(int64_t query_id) const;
-  AssignmentStats assignment_stats() const;
-
-  // ----- driver-thread interface (via AsyncPlatform) ------------------
+  // ----- query interface (inside the fiber, via AsyncPlatform) ---------
 
   // Registers `count` purchased microtasks for pair (i, j) of `query_id`
-  // (j = -1 for graded tasks). Does not block.
+  // (j = -1 for graded tasks). Does not yield.
   void PostPurchase(int64_t query_id, crowd::ItemId i, crowd::ItemId j,
                     int64_t count);
 
-  // Parks the calling driver until all of its posted microtasks have been
+  // Yields the query's fiber until all of its posted microtasks have been
   // worked off AND at least `rounds` further global rounds have closed.
   // `rounds` = 1 for NextRound, n for AccountRounds(n), 0 to drain pending
   // work without charging a round. Returns immediately when the condition
   // already holds.
   void Barrier(int64_t query_id, int64_t rounds);
 
-  // Marks the calling driver finished; stamps completion round/time.
-  void FinishQuery(int64_t query_id);
-
  private:
   struct QueryState {
     int64_t seed_stream = 0;  // latency-stream key (global id under a router)
-    bool parked = false;
-    bool finished = false;
+    std::unique_ptr<Fiber> fiber;  // null once finished
     int64_t posted = 0;     // microtasks registered via PostPurchase
     int64_t resolved = 0;   // microtasks completed or permanently failed
-    int64_t barrier_round = 0;  // unpark no earlier than this global round
+    int64_t barrier_round = 0;  // runnable no earlier than this global round
     int64_t next_request_seq = 0;
     QueryServeStats stats;
   };
@@ -170,15 +163,10 @@ class BatchScheduler {
   exec::ThreadPool* pool_;
   double lognormal_mu_;
 
-  mutable std::mutex mutex_;
-  std::condition_variable quiescent_;  // service waits: running_ == 0
-  std::condition_variable unparked_;   // drivers wait: !state.parked
   std::map<int64_t, QueryState> queries_;
   AssignmentTracker tracker_;
-  int64_t running_ = 0;  // admitted drivers not parked and not finished
   int64_t round_ = 0;
   double now_seconds_ = 0.0;
-  std::vector<int64_t> newly_finished_;
 };
 
 }  // namespace crowdtopk::serve

@@ -1,10 +1,8 @@
 #include "serve/query_service.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <deque>
-#include <thread>
 #include <unordered_map>
 
 #include "cache/cache_client.h"
@@ -23,16 +21,6 @@ namespace {
 // Salt separating the per-query judgment streams from the latency and
 // arrival streams derived from the same master seed.
 constexpr uint64_t kJudgmentStream = 0x6a7564676d656e74ULL;
-
-std::string FileToken(const std::string& name) {
-  std::string token;
-  for (char c : name) {
-    token += std::isalnum(static_cast<unsigned char>(c))
-                 ? static_cast<char>(std::tolower(c))
-                 : '_';
-  }
-  return token.empty() ? "algo" : token;
-}
 
 // Everything that shapes the replay's outcomes goes into the persist
 // manifest fingerprint: resuming under a different configuration would
@@ -88,10 +76,10 @@ QueryService::QueryService(const ServeOptions& options)
 std::vector<QueryOutcome> QueryService::Replay(
     const std::vector<QueryRequest>& requests,
     const std::vector<double>& arrivals) {
-  CROWDTOPK_CHECK(!replayed_);
-  replayed_ = true;
+  CROWDTOPK_CHECK(scheduler_ == nullptr);  // one replay per service
   const int64_t n = static_cast<int64_t>(requests.size());
   CROWDTOPK_CHECK_EQ(n, static_cast<int64_t>(arrivals.size()));
+  outcomes_.assign(n, QueryOutcome());
   for (int64_t i = 0; i < n; ++i) {
     CROWDTOPK_CHECK(requests[i].algorithm != nullptr);
     CROWDTOPK_CHECK(requests[i].dataset != nullptr);
@@ -99,10 +87,11 @@ std::vector<QueryOutcome> QueryService::Replay(
     // One algorithm instance serves many concurrent queries.
     CROWDTOPK_CHECK(requests[i].algorithm->concurrent_runs_safe());
     if (i > 0) CROWDTOPK_CHECK(arrivals[i - 1] <= arrivals[i]);
+    outcomes_[i].query_id = i;
+    outcomes_[i].algorithm = requests[i].algorithm->name();
+    outcomes_[i].arrival_seconds = arrivals[i];
   }
 
-  requests_ = &requests;
-  outcomes_.assign(n, QueryOutcome());
   if (options_.jobs != 1) {
     pool_ = std::make_unique<exec::ThreadPool>(
         options_.jobs == 0 ? exec::ThreadPool::HardwareThreads()
@@ -111,9 +100,9 @@ std::vector<QueryOutcome> QueryService::Replay(
   scheduler_ = std::make_unique<BatchScheduler>(options_.schedule,
                                                 options_.seed, pool_.get());
   if (options_.cache.enabled) {
-    // Deferred commit is mandatory under concurrent drivers: inserts apply
-    // only at the quiescence barriers below, in query-id order, keeping the
-    // replay bit-identical for any jobs value.
+    // Deferred commit is mandatory with many queries in flight: inserts
+    // apply only between stepping passes, in query-id order, so every query
+    // in a pass sees the same committed cache whatever its position.
     cache::CacheOptions cache_options = options_.cache;
     cache_options.deferred_commit = true;
     cache_ = std::make_unique<cache::JudgmentCache>(cache_options);
@@ -136,9 +125,7 @@ std::vector<QueryOutcome> QueryService::Replay(
       if (inserted) ++next_universe;
       universes_[i] = it->second;
     }
-    if (!options_.warm_cache.empty()) {
-      cache_->RestoreEntries(options_.warm_cache);
-    }
+    cache_->RestoreEntries(options_.warm_cache);
   }
 
   // Durable state: open (or recover) the persist directory. Failures are
@@ -157,45 +144,65 @@ std::vector<QueryOutcome> QueryService::Replay(
     }
   }
 
-  std::vector<std::thread> drivers;
-  drivers.reserve(n);
   std::deque<int64_t> admission;
   int64_t next_arrival = 0;
-  int64_t inflight = 0;
   int64_t done = 0;
 
-  // Admission bookkeeping mirrored for the snapshot image (service-thread
-  // only; cheap even with persistence off).
+  // Ascending: admission is FIFO over ascending arrival ids.
   std::vector<int64_t> inflight_ids;
-  std::vector<int64_t> rejected_ids;
-  std::vector<persist::CompleteRecord> completed_records;
+  std::vector<bool> completed(n, false);
 
-  // Builds the durable image at the current quiescence barrier; the
-  // manager fills in position, fingerprint, and segment fields.
+  // The durable record of a finished query.
+  const auto complete_record = [&](int64_t id) {
+    const QueryOutcome& o = outcomes_[id];
+    persist::CompleteRecord record;
+    record.query_id = id;
+    record.status_code = static_cast<uint32_t>(o.status.code());
+    record.total_microtasks = o.total_microtasks;
+    record.rounds_private = o.rounds_private;
+    record.precision_at_k = o.precision_at_k;
+    record.items.assign(o.items.begin(), o.items.end());
+    return record;
+  };
+
+  // Builds the durable image at the current barrier; the manager fills in
+  // position, fingerprint, and segment fields.
   const auto snapshot_source = [&]() {
     persist::SnapshotData data;
     data.queued.assign(admission.begin(), admission.end());
-    std::vector<int64_t> ids = inflight_ids;
-    std::sort(ids.begin(), ids.end());
-    for (const int64_t id : ids) {
-      const QueryServeStats stats = scheduler_->QueryStats(id);
-      persist::InflightDescriptor d;
-      d.query_id = id;
-      d.admitted_round = stats.admitted_round;
-      d.expired_assignments = stats.expired_assignments;
-      d.requeued_assignments = stats.requeued_assignments;
-      data.inflight.push_back(d);
+    for (const int64_t id : inflight_ids) {
+      const QueryServeStats& stats = scheduler_->QueryStats(id);
+      data.inflight.push_back({id, stats.admitted_round,
+                               stats.expired_assignments,
+                               stats.requeued_assignments});
     }
-    data.completed = completed_records;
-    std::sort(data.completed.begin(), data.completed.end(),
-              [](const persist::CompleteRecord& a,
-                 const persist::CompleteRecord& b) {
-                return a.query_id < b.query_id;
-              });
-    data.rejected = rejected_ids;
-    std::sort(data.rejected.begin(), data.rejected.end());
+    for (int64_t id = 0; id < next_arrival; ++id) {
+      if (completed[id]) data.completed.push_back(complete_record(id));
+      if (outcomes_[id].rejected) data.rejected.push_back(id);
+    }
     if (cache_ != nullptr) data.cache_entries = cache_->Export();
     return data;
+  };
+
+  // Seals the events since the previous barrier. During catch-up this
+  // verifies the re-derived digest against the durable record; live, it
+  // appends one WAL batch (and maybe a snapshot).
+  const auto seal_barrier = [&]() {
+    const bool was_catchup = persist_->in_catchup();
+    const util::Status status =
+        persist_->OnBarrier(scheduler_->round(), scheduler_->now_seconds(),
+                            next_arrival, done, snapshot_source);
+    if (was_catchup && !persist_->in_catchup()) {
+      replayed_microtasks_ = scheduler_->assignment_stats().completed;
+    }
+    return status;
+  };
+  // Availability-first: keep and report the first persist error, but let
+  // the replay run on.
+  const auto note_persist_error = [this](const util::Status& status) {
+    if (status.ok() || !persist_status_.ok()) return;
+    persist_status_ = status;
+    std::fprintf(stderr, "crowdtopk persist: %s\n", status.ToString().c_str());
   };
 
   while (done < n) {
@@ -203,40 +210,47 @@ std::vector<QueryOutcome> QueryService::Replay(
     const double now = scheduler_->now_seconds();
     while (next_arrival < n && arrivals[next_arrival] <= now) {
       const int64_t id = next_arrival++;
-      if (options_.max_queue >= 0 && inflight >= options_.max_inflight &&
+      if (options_.max_queue >= 0 &&
+          static_cast<int64_t>(inflight_ids.size()) >= options_.max_inflight &&
           static_cast<int64_t>(admission.size()) >= options_.max_queue) {
         QueryOutcome& o = outcomes_[id];
         o.rejected = true;
+        o.start_seconds = o.finish_seconds = o.arrival_seconds;
         o.reject_reason = RejectReason::kQueueFull;
         o.status = util::Status::ResourceExhausted(
             "admission queue full (max_queue=" +
             std::to_string(options_.max_queue) + ")");
         ++done;
-        rejected_ids.push_back(id);
         if (persist_ != nullptr) persist_->OnReject(id);
         continue;
       }
       admission.push_back(id);
     }
     // Admit FIFO into free in-flight slots; each admitted query gets its
-    // own driver thread running the unmodified synchronous algorithm.
-    while (!admission.empty() && inflight < options_.max_inflight) {
+    // own fiber running the unmodified synchronous algorithm.
+    while (!admission.empty() &&
+           static_cast<int64_t>(inflight_ids.size()) < options_.max_inflight) {
       const int64_t id = admission.front();
       admission.pop_front();
       const int64_t stream = requests[id].seed_stream >= 0
                                  ? requests[id].seed_stream
                                  : id;
-      scheduler_->AdmitQuery(id, stream);
-      ++inflight;
+      scheduler_->AdmitQuery(id, stream, [this, &requests, id, stream] {
+        RunQuery(requests[id], id, stream);
+      });
       inflight_ids.push_back(id);
       if (persist_ != nullptr) persist_->OnAdmit(id);
-      drivers.emplace_back([this, id] { DriverMain(id); });
     }
 
-    scheduler_->WaitQuiescent();
-    // All drivers are parked or finished here: apply this round's staged
-    // cache inserts so the next round's lookups see them. The applied list
-    // (query-id order) is exactly the WAL's cache-insert sequence.
+    // Step every in-flight query, in ascending id, until it yields at a
+    // round boundary or finishes. Nothing else runs meanwhile.
+    std::vector<int64_t> finished, waiting;
+    for (const int64_t id : inflight_ids) {
+      (scheduler_->Step(id) ? finished : waiting).push_back(id);
+    }
+    inflight_ids.swap(waiting);
+    // Commit this pass's staged cache inserts for the next round's lookups;
+    // the applied list (query-id order) is the WAL's cache-insert sequence.
     if (cache_ != nullptr) {
       std::vector<cache::ExportedEntry> applied;
       cache_->CommitPending(persist_ != nullptr ? &applied : nullptr);
@@ -244,109 +258,42 @@ std::vector<QueryOutcome> QueryService::Replay(
         persist_->OnCacheInsert(entry);
       }
     }
-    std::vector<int64_t> finished = scheduler_->DrainFinished();
-    if (!finished.empty()) {
-      inflight -= static_cast<int64_t>(finished.size());
-      done += static_cast<int64_t>(finished.size());
-      // DrainFinished returns completion-callback order, which depends on
-      // thread timing; everything downstream (WAL events, snapshots) wants
-      // the deterministic query-id order.
-      std::sort(finished.begin(), finished.end());
-      for (const int64_t id : finished) {
-        inflight_ids.erase(
-            std::find(inflight_ids.begin(), inflight_ids.end(), id));
-        persist::CompleteRecord record;
-        record.query_id = id;
-        record.status_code =
-            static_cast<uint32_t>(scheduler_->QueryStats(id).status.code());
-        const QueryOutcome& o = outcomes_[id];
-        record.total_microtasks = o.total_microtasks;
-        record.rounds_private = o.rounds_private;
-        record.precision_at_k = o.precision_at_k;
-        record.items.assign(o.items.begin(), o.items.end());
-        completed_records.push_back(record);
-        if (persist_ != nullptr) persist_->OnComplete(record);
-      }
+    done += static_cast<int64_t>(finished.size());
+    for (const int64_t id : finished) {
+      completed[id] = true;
+      const QueryServeStats& stats = scheduler_->QueryStats(id);
+      QueryOutcome& o = outcomes_[id];
+      o.status = stats.status;
+      o.start_seconds = stats.admitted_seconds;
+      o.finish_seconds = stats.finished_seconds;
+      o.latency_seconds = stats.finished_seconds - o.arrival_seconds;
+      o.rounds_observed = stats.finished_round - stats.admitted_round;
+      o.expired_assignments = stats.expired_assignments;
+      o.requeued_assignments = stats.requeued_assignments;
+      if (persist_ != nullptr) persist_->OnComplete(complete_record(id));
     }
-    // Quiescence barrier: seal this iteration's events. During catch-up
-    // this verifies the re-derived digest against the durable record;
-    // live, it appends one WAL batch (and maybe a snapshot).
-    if (persist_ != nullptr) {
-      const bool was_catchup = persist_->in_catchup();
-      const util::Status barrier_status =
-          persist_->OnBarrier(scheduler_->round(), scheduler_->now_seconds(),
-                              next_arrival, done, snapshot_source);
-      if (!barrier_status.ok() && persist_status_.ok()) {
-        persist_status_ = barrier_status;
-        std::fprintf(stderr, "crowdtopk persist: %s\n",
-                     barrier_status.ToString().c_str());
-      }
-      if (was_catchup && !persist_->in_catchup()) {
-        replayed_microtasks_ = scheduler_->assignment_stats().completed;
-      }
-    }
-    if (!finished.empty()) {
-      continue;  // freed slots admit waiting queries before the next round
-    }
-    if (scheduler_->AnyParked()) {
+    if (persist_ != nullptr) note_persist_error(seal_barrier());
+    // Freed slots admit waiting queries before the next round.
+    if (!finished.empty()) continue;
+    if (!inflight_ids.empty()) {
+      // Every in-flight query is waiting at its barrier.
       scheduler_->ExecuteRound();
     } else if (next_arrival < n) {
       // Nothing in flight: idle forward to the next arrival.
-      CROWDTOPK_CHECK_EQ(inflight, 0);
       scheduler_->AdvanceTimeTo(arrivals[next_arrival]);
     } else {
       CROWDTOPK_CHECK_EQ(done, n);
     }
   }
-  for (std::thread& t : drivers) t.join();
-  // Final barrier: fold the last round's publications into the stats, seal
-  // them durably, and write the complete snapshot.
-  if (cache_ != nullptr) {
-    std::vector<cache::ExportedEntry> applied;
-    cache_->CommitPending(persist_ != nullptr ? &applied : nullptr);
-    for (const cache::ExportedEntry& entry : applied) {
-      persist_->OnCacheInsert(entry);
-    }
-  }
+  // Final barrier: seal the last events durably and write the complete
+  // snapshot. Every stepping pass already committed its cache inserts.
   if (persist_ != nullptr) {
-    const bool was_catchup = persist_->in_catchup();
-    util::Status final_status =
-        persist_->OnBarrier(scheduler_->round(), scheduler_->now_seconds(),
-                            next_arrival, done, snapshot_source);
-    if (was_catchup && !persist_->in_catchup()) {
-      // The whole replay was catch-up (resume of an already-complete run).
-      replayed_microtasks_ = scheduler_->assignment_stats().completed;
-    }
-    if (final_status.ok()) final_status = persist_->Finalize(snapshot_source);
-    if (!final_status.ok() && persist_status_.ok()) {
-      persist_status_ = final_status;
-      std::fprintf(stderr, "crowdtopk persist: %s\n",
-                   final_status.ToString().c_str());
-    }
+    util::Status status = seal_barrier();
+    if (status.ok()) status = persist_->Finalize(snapshot_source);
+    note_persist_error(status);
     WritePersistTrace();
   }
 
-  for (int64_t id = 0; id < n; ++id) {
-    QueryOutcome& o = outcomes_[id];
-    o.query_id = id;
-    o.algorithm = requests[id].algorithm->name();
-    o.arrival_seconds = arrivals[id];
-    if (o.rejected) {
-      o.start_seconds = o.finish_seconds = arrivals[id];
-      continue;
-    }
-    const QueryServeStats stats = scheduler_->QueryStats(id);
-    o.status = stats.status;
-    o.start_seconds = stats.admitted_seconds;
-    o.finish_seconds = stats.finished_seconds;
-    o.latency_seconds = stats.finished_seconds - arrivals[id];
-    o.rounds_observed = stats.finished_round - stats.admitted_round;
-    o.expired_assignments = stats.expired_assignments;
-    o.requeued_assignments = stats.requeued_assignments;
-  }
-  assignment_stats_ = scheduler_->assignment_stats();
-  makespan_seconds_ = scheduler_->now_seconds();
-  total_rounds_ = scheduler_->round();
   return outcomes_;
 }
 
@@ -405,12 +352,10 @@ void QueryService::WritePersistTrace() const {
   }
 }
 
-void QueryService::DriverMain(int64_t query_id) {
-  const QueryRequest& request = (*requests_)[query_id];
-  const int64_t stream =
-      request.seed_stream >= 0 ? request.seed_stream : query_id;
+void QueryService::RunQuery(const QueryRequest& request, int64_t query_id,
+                            int64_t seed_stream) {
   AsyncPlatform platform(request.dataset,
-                         util::SplitSeed(judgment_seed_, stream),
+                         util::SplitSeed(judgment_seed_, seed_stream),
                          scheduler_.get(), query_id);
   telemetry::TraceRecorder recorder;
   const bool tracing = !options_.trace_dir.empty();
@@ -433,56 +378,42 @@ void QueryService::DriverMain(int64_t query_id) {
   o.rounds_private = platform.rounds();
   o.precision_at_k =
       metrics::PrecisionAtK(*request.dataset, result.items, request.k);
+  const auto counter = [&recorder](const char* name, int64_t value) {
+    recorder.RecordCounter(name, static_cast<double>(value));
+  };
   if (cache_client != nullptr) {
     const cache::ClientStats& cs = cache_client->stats();
     o.cache_hits = cs.hits;
     o.cache_topups = cs.topups;
     o.cache_inferred = cs.inferred;
     o.cache_misses = cs.misses;
-    o.cache_seeded_samples = cs.seeded_samples;
     if (tracing) {
-      recorder.RecordCounter("cache/hits", static_cast<double>(cs.hits));
-      recorder.RecordCounter("cache/topups", static_cast<double>(cs.topups));
-      recorder.RecordCounter("cache/inferred",
-                             static_cast<double>(cs.inferred));
-      recorder.RecordCounter("cache/misses", static_cast<double>(cs.misses));
-      recorder.RecordCounter("cache/seeded_samples",
-                             static_cast<double>(cs.seeded_samples));
+      counter("cache/hits", cs.hits);
+      counter("cache/topups", cs.topups);
+      counter("cache/inferred", cs.inferred);
+      counter("cache/misses", cs.misses);
+      counter("cache/seeded_samples", cs.seeded_samples);
     }
   }
 
   if (tracing) {
     // The serve counters are stable here: the clock is frozen while this
-    // driver runs, and a drained query has no assignments left in flight.
-    const QueryServeStats stats = scheduler_->QueryStats(query_id);
-    recorder.RecordCounter("serve/expired_assignments",
-                           static_cast<double>(stats.expired_assignments));
-    recorder.RecordCounter("serve/requeued_assignments",
-                           static_cast<double>(stats.requeued_assignments));
-    recorder.RecordCounter("serve/failed_assignments",
-                           static_cast<double>(stats.failed_assignments));
-    DumpQueryTrace(recorder, request, query_id);
+    // query runs, and a drained query has no assignments left in flight.
+    const QueryServeStats& stats = scheduler_->QueryStats(query_id);
+    counter("serve/expired_assignments", stats.expired_assignments);
+    counter("serve/requeued_assignments", stats.requeued_assignments);
+    counter("serve/failed_assignments", stats.failed_assignments);
+    char prefix[32];
+    std::snprintf(prefix, sizeof(prefix), "/serve_q%05lld_",
+                  static_cast<long long>(query_id));
+    const std::string& name = request.algorithm->name();
+    const util::Status status = metrics::WriteTraceFiles(
+        recorder.events(),
+        options_.trace_dir + prefix + metrics::TraceFileToken(name), name);
+    if (!status.ok()) {
+      std::fprintf(stderr, "serve trace: %s\n", status.ToString().c_str());
+    }
   }
-  scheduler_->FinishQuery(query_id);
-}
-
-void QueryService::DumpQueryTrace(const telemetry::TraceRecorder& recorder,
-                                  const QueryRequest& request,
-                                  int64_t query_id) const {
-  char suffix[32];
-  std::snprintf(suffix, sizeof(suffix), "serve_q%05lld_",
-                static_cast<long long>(query_id));
-  const std::string stem = options_.trace_dir + "/" + suffix +
-                           FileToken(request.algorithm->name());
-  const util::Status status =
-      telemetry::WriteJsonlFile(recorder.events(), stem + ".trace.jsonl");
-  if (!status.ok()) {
-    std::fprintf(stderr, "serve trace: %s\n", status.ToString().c_str());
-    return;
-  }
-  metrics::PhaseTable(metrics::AggregateByPhaseRollup(recorder.events()),
-                      request.algorithm->name())
-      .WriteCsv(stem + ".phases.csv");
 }
 
 }  // namespace crowdtopk::serve

@@ -65,11 +65,6 @@ std::string RenderQueryTable(const std::vector<QueryOutcome>& outcomes);
 std::string RenderServeReportJsonl(const ServeReport& report,
                                    const std::vector<QueryOutcome>& outcomes);
 
-// Renders and writes atomically to `path`.
-util::Status WriteServeReportJsonl(const ServeReport& report,
-                                   const std::vector<QueryOutcome>& outcomes,
-                                   const std::string& path);
-
 }  // namespace crowdtopk::serve
 
 #endif  // CROWDTOPK_SERVE_REPORT_H_

@@ -19,7 +19,7 @@
 //
 // Cache sync (optional): after each wave the router collects every
 // healthy shard's committed judgment-cache export (entries that were
-// themselves committed at quiescence barriers in query-id order), merges
+// themselves committed at barriers in query-id order), merges
 // them through a JudgmentCache — whose better-entry rule makes the merge
 // order-insensitive and whose capacity bound still applies — and gossips
 // the merged set back as every shard's next warm_cache. Entries never

@@ -6,7 +6,7 @@
 // recovery instead of being replayed as state.
 //
 // Fnv1a64: a cheap streaming digest used to chain the event history across
-// quiescence barriers; the recovery path recomputes it during catch-up and
+// barriers; the recovery path recomputes it during catch-up and
 // compares against the logged value to prove the restored state is
 // byte-identical to the pre-crash run (docs/PERSISTENCE.md).
 

@@ -92,7 +92,7 @@ bool CacheTransitivity();
 // (CROWDTOPK_PERSIST_DIR). Empty (the default) disables persistence.
 std::string PersistDir();
 
-// Quiescence barriers between snapshots (CROWDTOPK_SNAPSHOT_EVERY, default
+// Barriers between snapshots (CROWDTOPK_SNAPSHOT_EVERY, default
 // 8). <= 0 writes only the final completion snapshot.
 int64_t SnapshotEvery();
 

@@ -15,11 +15,13 @@
 //              the (new) trace warm — the cross-generation reuse path
 //
 // Exit codes: 0 ok (including a degraded resume after WAL-tail damage,
-// which is reported, not fatal); 2 persistence error (configuration
-// fingerprint mismatch, write failure); 3 catch-up divergence (durable
-// records disagree with deterministic re-execution — file a bug).
+// which is reported, not fatal); 2 usage error (bad argument or an
+// out-of-range knob) or persistence error (configuration fingerprint
+// mismatch, write failure); 3 catch-up divergence (durable records disagree
+// with deterministic re-execution — file a bug).
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -36,6 +38,7 @@
 #include "serve/report.h"
 #include "util/check.h"
 #include "util/env.h"
+#include "util/file_io.h"
 
 namespace {
 
@@ -96,8 +99,8 @@ Output knobs
   CROWDTOPK_TRACE=1, CROWDTOPK_TRACE_DIR  per-query telemetry traces
                             (docs/OBSERVABILITY.md)
 
-Exit codes: 0 ok (degraded resume included), 2 persistence error,
-3 catch-up divergence.
+Exit codes: 0 ok (degraded resume included), 2 usage error (out-of-range
+knob) or persistence error, 3 catch-up divergence.
 )";
 
 std::vector<std::string> SplitCsv(const std::string& list) {
@@ -133,6 +136,17 @@ std::unique_ptr<core::TopKAlgorithm> MakeAlgorithm(
   }
   CROWDTOPK_CHECK(false && "unknown CROWDTOPK_SERVE_ALGOS entry");
   return nullptr;
+}
+
+// An out-of-range knob is a usage error: name the variable and let main
+// exit 2 instead of tripping a library CHECK.
+bool KnobOk(bool ok, const char* name, const char* requirement) {
+  if (!ok) {
+    const char* raw = std::getenv(name);
+    std::fprintf(stderr, "%s=%s is out of range: must be %s\n", name,
+                 raw != nullptr ? raw : "", requirement);
+  }
+  return ok;
 }
 
 }  // namespace
@@ -193,6 +207,31 @@ int main(int argc, char** argv) {
   options.persist.wal_segment_bytes = util::WalSegmentBytes();
   options.persist.kill_at_barrier = util::PersistKillBarrier();
   options.persist.resume = resume;
+
+  judgment::ComparisonOptions comparison;
+  comparison.alpha = util::GetEnvDouble("CROWDTOPK_SERVE_ALPHA", 0.02);
+
+  const serve::ScheduleOptions& schedule = options.schedule;
+  if (!(KnobOk(queries >= 0, "CROWDTOPK_SERVE_QUERIES", ">= 0") &&
+        KnobOk(rate > 0.0, "CROWDTOPK_SERVE_RATE", "> 0") &&
+        KnobOk(k >= 1, "CROWDTOPK_SERVE_K", ">= 1") &&
+        KnobOk(comparison.alpha > 0.0 && comparison.alpha < 1.0,
+               "CROWDTOPK_SERVE_ALPHA", "in (0, 1)") &&
+        KnobOk(schedule.crowd_workers >= 1, "CROWDTOPK_SERVE_WORKERS",
+               ">= 1") &&
+        KnobOk(schedule.per_pair_batch >= 1, "CROWDTOPK_SERVE_ETA", ">= 1") &&
+        KnobOk(options.max_inflight >= 1, "CROWDTOPK_SERVE_INFLIGHT",
+               ">= 1") &&
+        KnobOk(schedule.deadline_seconds > 0.0, "CROWDTOPK_SERVE_DEADLINE",
+               "> 0") &&
+        KnobOk(schedule.abandon_probability >= 0.0 &&
+                   schedule.abandon_probability <= 1.0,
+               "CROWDTOPK_SERVE_ABANDON", "in [0, 1]") &&
+        KnobOk(schedule.max_attempts >= 1, "CROWDTOPK_SERVE_ATTEMPTS",
+               ">= 1"))) {
+    return 2;
+  }
+
   if ((resume || warm) && options.persist.dir.empty()) {
     std::fprintf(stderr,
                  "--%s requires CROWDTOPK_PERSIST_DIR (try --help)\n",
@@ -217,11 +256,12 @@ int main(int argc, char** argv) {
                 static_cast<long long>(snapshot.barrier.barrier));
   }
 
-  judgment::ComparisonOptions comparison;
-  comparison.alpha = util::GetEnvDouble("CROWDTOPK_SERVE_ALPHA", 0.02);
-
   const std::unique_ptr<data::Dataset> dataset =
       data::MakeByName(dataset_name, seed);
+  if (!KnobOk(k <= dataset->num_items(), "CROWDTOPK_SERVE_K",
+              "<= the dataset's item count")) {
+    return 2;
+  }
   std::vector<std::unique_ptr<core::TopKAlgorithm>> algorithms;
   for (const std::string& name : SplitCsv(algo_list)) {
     algorithms.push_back(MakeAlgorithm(name, comparison));
@@ -289,8 +329,8 @@ int main(int argc, char** argv) {
   const std::string report_path =
       util::GetEnvString("CROWDTOPK_SERVE_REPORT", "");
   if (!report_path.empty()) {
-    const util::Status status =
-        serve::WriteServeReportJsonl(report, outcomes, report_path);
+    const util::Status status = util::WriteFileAtomic(
+        report_path, serve::RenderServeReportJsonl(report, outcomes));
     if (!status.ok()) {
       std::fprintf(stderr, "serve report: %s\n", status.ToString().c_str());
       return 2;
