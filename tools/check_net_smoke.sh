@@ -6,7 +6,9 @@
 # seed), SIGTERM the server, then repeat with a *fresh* server under the
 # same seed. The two loadgen reports must be byte-identical: every latency
 # and cost figure is simulated time carried back in Result frames, so the
-# whole report is a pure function of the seeds.
+# whole report is a pure function of the seeds. The report must also
+# match tests/golden/net_loadgen_report.txt byte for byte, so a change that
+# shifts every run the same way (which a run-vs-run diff cannot see) fails.
 #
 # Job 2 — graceful drain: both server runs must exit 0 on SIGTERM with a
 # "drained" summary whose completed-query count matches the trace, i.e.
@@ -20,6 +22,8 @@ server="$build/tools/crowdtopk_server"
 loadgen="$build/tools/crowdtopk_loadgen"
 [ -x "$server" ] || { echo "FAIL: $server not built"; exit 1; }
 [ -x "$loadgen" ] || { echo "FAIL: $loadgen not built"; exit 1; }
+golden="$(cd "$(dirname "$0")/../tests/golden" && pwd)/net_loadgen_report.txt"
+[ -f "$golden" ] || { echo "FAIL: $golden missing"; exit 1; }
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
@@ -88,4 +92,12 @@ if ! cmp -s "$work/report_run1.txt" "$work/report_run2.txt"; then
   exit 1
 fi
 echo "   OK: reports byte-identical"
+
+echo "== loadgen report matches the golden =="
+if ! cmp -s "$golden" "$work/report_run1.txt"; then
+  echo "FAIL: loadgen report differs from $golden"
+  diff "$golden" "$work/report_run1.txt" | head -10
+  exit 1
+fi
+echo "   OK: report matches golden"
 echo "PASS: network smoke"

@@ -4,7 +4,9 @@
 # Job 1 — merged-report byte-determinism: start crowdtopk_router over four
 # in-process shards, drive it with crowdtopk_loadgen under a fixed seed,
 # drain, then repeat with a fresh router. The two merged per-query reports
-# (pure columns, global-id order) must be byte-identical.
+# (pure columns, global-id order) must be byte-identical, and must match
+# tests/golden/shard_merged_report.txt byte for byte, so a change that
+# shifts every run the same way (which a run-vs-run diff cannot see) fails.
 #
 # Job 2 — shard-count invariance: a 1-shard router under the same seed
 # must produce the same merged table bytes as the 4-shard runs. Placement
@@ -23,6 +25,8 @@ router="$build/tools/crowdtopk_router"
 loadgen="$build/tools/crowdtopk_loadgen"
 [ -x "$router" ] || { echo "FAIL: $router not built"; exit 1; }
 [ -x "$loadgen" ] || { echo "FAIL: $loadgen not built"; exit 1; }
+golden="$(cd "$(dirname "$0")/../tests/golden" && pwd)/shard_merged_report.txt"
+[ -f "$golden" ] || { echo "FAIL: $golden missing"; exit 1; }
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
@@ -107,6 +111,12 @@ if ! cmp -s "$work/loadgen_run1.txt" "$work/loadgen_run2.txt"; then
   exit 1
 fi
 echo "   OK: merged + loadgen reports byte-identical"
+if ! cmp -s "$golden" "$work/report_run1.txt"; then
+  echo "FAIL: 4-shard merged report differs from $golden"
+  diff "$golden" "$work/report_run1.txt" | head -10
+  exit 1
+fi
+echo "   OK: merged report matches golden"
 
 echo "== run 3: 1 shard, same seed =="
 run_once run3 1
