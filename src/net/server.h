@@ -14,17 +14,21 @@
 //   connection table is full, a new connection is greeted with an
 //   UNAVAILABLE error frame and closed.
 //
-//   engine thread — owns the actual query execution. Accepted submissions
-//   queue FIFO; the engine drains the queue into a batch and replays it
-//   through one serve::QueryService (arrivals all zero, shared crowd
-//   capacity, per-query algorithm/alpha/budget), so queries that arrive
-//   together share worker slots and — when the cache is enabled — reuse
-//   each other's judgments. Batch b runs under seed SplitSeed(seed, b) and
-//   inherits the previous batch's committed cache entries through
+//   engine thread — owns the actual query execution (net/engine.h).
+//   Accepted submissions queue FIFO; the engine drains the queue into a
+//   batch and replays it through one serve::QueryService (arrivals all
+//   zero, shared crowd capacity, per-query algorithm/alpha/budget), so
+//   queries that arrive together share worker slots and — when the cache
+//   is enabled — reuse each other's judgments. Batch b runs under seed
+//   SplitSeed(seed, kBatchStream + b), or under the constant master seed
+//   when every query in it carries a seed_stream stamp, and inherits the
+//   previous batch's committed cache entries through
 //   QueryService::ExportCache -> warm_cache, the same cross-generation
-//   path a --warm restart uses. With a single blocking client the batch
-//   sequence (and thus every outcome) is a pure function of the seed,
-//   which is what makes the loadgen report byte-reproducible.
+//   path a --warm restart uses. Cache universes are fixed per dataset name
+//   for the server's lifetime, so entries never cross datasets. With a
+//   single blocking client the batch sequence (and thus every outcome) is
+//   a pure function of the seed, which is what makes the loadgen report
+//   byte-reproducible.
 //
 // Graceful drain: RequestDrain() is async-signal-safe (an atomic store and
 // a self-pipe write), so a SIGTERM handler may call it directly. Draining
@@ -47,10 +51,8 @@
 #include "core/topk_algorithm.h"
 #include "data/dataset.h"
 #include "judgment/comparison.h"
-#include "net/engine.h"
 #include "net/protocol.h"
 #include "serve/batch_scheduler.h"
-#include "serve/query_service.h"
 #include "util/clock.h"
 #include "util/status.h"
 
@@ -72,15 +74,12 @@ using AlgorithmFactory = std::function<std::unique_ptr<core::TopKAlgorithm>(
 DatasetFactory DefaultDatasetFactory();
 AlgorithmFactory DefaultAlgorithmFactory();
 
-// Maps a serve-layer admission rejection onto the wire error taxonomy —
-// the machine-readable path that replaces string-matching the status.
-ErrorCode MapRejectReason(serve::RejectReason reason);
-
+class Engine;
 struct ServerOptions;
 
 // Builds the engine the front-end drives (net/engine.h). `wake` must be
 // called after posting completions so the poll loop picks them up; it is
-// async-safe (a self-pipe write). Null picks the built-in BatchEngine.
+// async-safe (a self-pipe write). Null picks the built-in net::Engine.
 using EngineFactory = std::function<std::unique_ptr<Engine>(
     const ServerOptions& options, std::function<void()> wake)>;
 
@@ -97,8 +96,9 @@ struct ServerOptions {
   // Drain budget: queries still queued (not yet batched) past it are
   // rejected instead of executed.
   int64_t drain_timeout_ms = 30000;
-  // Admission bound across engine queue + in-flight batch; arrivals past
-  // it are refused with a QUEUE_FULL error frame. < 0 = unbounded.
+  // Admission bound on submissions queued for the next batch (the batch
+  // in flight does not count); arrivals past it are refused with a
+  // QUEUE_FULL error frame. < 0 = unbounded.
   int64_t max_queue = 256;
 
   // Engine: one serve::QueryService per batch, built from these.
@@ -124,7 +124,7 @@ struct ServerOptions {
   DatasetFactory dataset_factory;
   AlgorithmFactory algorithm_factory;
   // Execution engine behind the front-end; null = the single-process
-  // BatchEngine. crowdtopk_router injects shard::RouterEngine here and
+  // net::Engine. crowdtopk_router injects shard::RouterEngine here and
   // reuses the whole socket/drain front-end unchanged.
   EngineFactory engine_factory;
 };

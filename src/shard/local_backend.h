@@ -1,9 +1,9 @@
 // LocalShardBackend: an in-process engine shard.
 //
 // Executes each sub-batch through a fresh serve::QueryService — the same
-// engine-per-batch construction net's BatchEngine uses — under the
-// *constant* master seed, with every request stamped with its global
-// query id (backend.h). The shard's judgment cache chains batch-to-batch
+// engine-per-batch construction net::Engine's default RunBatch uses —
+// under the *constant* master seed, with every request stamped with its
+// global query id (backend.h). The shard's judgment cache chains batch-to-batch
 // through warm_cache exports, exactly like a single server's; under
 // router cache_sync the router replaces that warm set with the merged
 // cross-shard export between batches.

@@ -9,7 +9,7 @@
 // path is deployment-agnostic.
 //
 // Cache sync is not supported across the wire: the judgment cache lives
-// inside the far crowdtopk_serve process, which already chains it across
+// inside the far crowdtopk_server process, which already chains it across
 // its own batches; shipping entries through the protocol is future work
 // (docs/SHARDING.md).
 

@@ -2,35 +2,31 @@
 //
 // crowdtopk_router injects this through ServerOptions::engine_factory, so
 // the entire socket front-end — handshake, admission, backpressure,
-// graceful drain — is the plain server's, unchanged; only query execution
-// differs. Accepted submissions queue FIFO exactly like BatchEngine's;
-// the engine thread drains the queue into one batch, stamps each query
-// with its global id, and hands the batch to the ShardRouter, which
-// scatters it over K shards and runs the failover waves (router.h).
+// graceful drain — is the plain server's, unchanged, and so is the whole
+// engine (queue, records, drain, dataset resolution, per-name universes);
+// only RunBatch differs: it stamps each query with its global id and hands
+// the batch to the ShardRouter, which scatters it over K shards and runs
+// the failover waves (router.h).
 //
-// Global ids are assigned at submission, monotonically, and double as the
-// wire query ids — so the id a client sees is the id that keys the
-// query's judgment/latency streams, and the merged table (shard/report.h)
-// can be byte-diffed across shard counts.
+// Global ids are the engine's query ids, which double as the wire query
+// ids — so the id a client sees is the id that keys the query's
+// judgment/latency streams, and the merged table (shard/report.h) can be
+// byte-diffed across shard counts.
 //
 // Deployment: with `ports` empty the engine spawns `shards` in-process
-// LocalShardBackends (dataset/algorithm instances resolved once, shared
-// by all shards — both are safe for concurrent runs); with `ports` set it
-// dials one RemoteShardBackend per endpoint.
+// LocalShardBackends (dataset/algorithm instances resolved once by the
+// engine, shared by all shards — both are safe for concurrent runs); with
+// `ports` set it dials one RemoteShardBackend per endpoint and leaves name
+// resolution to the far servers.
 
 #ifndef CROWDTOPK_SHARD_ROUTER_ENGINE_H_
 #define CROWDTOPK_SHARD_ROUTER_ENGINE_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/engine.h"
@@ -43,7 +39,7 @@ namespace crowdtopk::shard {
 struct RouterEngineConfig {
   // In-process shard count; ignored when `ports` is non-empty.
   int64_t shards = 1;
-  // Remote deployment: one crowdtopk_serve endpoint per shard on
+  // Remote deployment: one crowdtopk_server endpoint per shard on
   // 127.0.0.1. Empty = in-process shards.
   std::vector<int64_t> ports;
   Policy policy = Policy::kRendezvous;
@@ -64,16 +60,6 @@ class RouterEngine : public net::Engine {
                std::function<void()> wake);
   ~RouterEngine() override;
 
-  util::StatusOr<int64_t> Submit(int64_t conn_id,
-                                 const net::SubmitQuery& spec) override;
-  net::QueryState State(int64_t query_id) const override;
-  bool Cancel(int64_t query_id, int64_t* submitter_conn) override;
-  void BeginDrain() override;
-  void AbortQueued() override;
-  std::vector<net::Completion> TakeCompletions() override;
-  bool Drained() const override;
-  int64_t queued() const override;
-  int64_t batches() const override;
   int64_t upstream_retries() const override;
   int64_t upstream_redials() const override;
 
@@ -81,65 +67,30 @@ class RouterEngine : public net::Engine {
   // after the drain completes; the CLI writes it on exit and the smoke
   // script byte-diffs it across runs and shard counts.
   std::string MergedReport() const;
+  // Router counters as of the last completed batch.
   RouterCounters counters() const;
 
   // Writes shard/* counters to <trace_dir>/shard_router.trace.jsonl; the
   // CLI calls it after Serve returns. No-op without a trace_dir.
   void DumpTrace() const;
 
+ protected:
+  std::vector<net::Completion> RunBatch(
+      int64_t batch_index, const std::vector<Query>& batch) override;
+
  private:
-  struct Record {
-    int64_t conn_id = 0;
-    RoutedQuery query;
-    net::QueryState state = net::QueryState::kQueued;
-  };
-
-  void ThreadMain();
-  // Resolves the shared dataset/algorithm instances and the per-dataset
-  // universe id for an in-process deployment; null on unknown names.
-  const data::Dataset* ResolveDatasetLocked(const std::string& name,
-                                            int64_t* universe);
-  core::TopKAlgorithm* ResolveAlgorithmLocked(const net::SubmitQuery& spec);
-  void RememberDoneLocked(int64_t id);
-
-  const net::ServerOptions options_;
-  const RouterEngineConfig config_;
-  const net::DatasetFactory dataset_factory_;
-  const net::AlgorithmFactory algorithm_factory_;
-  const std::function<void()> wake_;
-  const bool remote_;
-
   std::unique_ptr<ShardRouter> router_;
   // Remote backends, for the retry/redial sums (owned by router_).
   std::vector<const RemoteShardBackend*> remote_backends_;
 
+  // Written by RunBatch after each routed batch, read from other threads:
+  // net::Client and router counters are plain fields owned by the engine
+  // thread, and Stats() asks from the network thread mid-run.
   mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  bool draining_ = false;
-  bool running_ = false;
-  int64_t next_query_id_ = 0;
-  int64_t batches_ = 0;
-  std::deque<int64_t> queue_;
-  std::unordered_map<int64_t, Record> records_;
-  std::unordered_set<int64_t> done_;
-  std::deque<int64_t> done_order_;
-  std::vector<net::Completion> completions_;
   std::vector<RoutedOutcome> outcomes_;  // everything routed so far
-  // Upstream client counters, snapshotted after each routed batch so the
-  // network thread can report them mid-run without racing the clients.
-  int64_t cached_retries_ = 0;
-  int64_t cached_redials_ = 0;
-
-  // In-process resolution state (names -> shared instances); universes
-  // are assigned per distinct dataset name in first-seen order, the same
-  // rule serve::QueryService applies per distinct pointer.
-  std::unordered_map<std::string, std::unique_ptr<data::Dataset>> datasets_;
-  std::unordered_map<std::string, int64_t> universes_;
-  std::unordered_map<std::string, std::unique_ptr<core::TopKAlgorithm>>
-      algorithms_;
-
-  std::thread thread_;  // last: joins in the destructor before members die
+  RouterCounters counters_;
+  int64_t retries_ = 0;
+  int64_t redials_ = 0;
 };
 
 }  // namespace crowdtopk::shard

@@ -10,17 +10,19 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "data/gaussian_dataset.h"
 #include "data/generators.h"
 #include "gtest/gtest.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
-#include "serve/query_service.h"
+#include "shard/router_engine.h"
 #include "util/env.h"
 #include "util/file_io.h"
 #include "util/status.h"
@@ -331,20 +333,21 @@ TEST(NetProtocolTest, ResultItemCountIsBoundsChecked) {
   EXPECT_FALSE(DecodeMessage(enc.Take(), &out));
 }
 
-TEST(NetProtocolTest, MapRejectReasonIsMachineReadable) {
-  EXPECT_EQ(MapRejectReason(serve::RejectReason::kQueueFull),
-            ErrorCode::kQueueFull);
-  EXPECT_EQ(MapRejectReason(serve::RejectReason::kNone), ErrorCode::kInternal);
-}
-
 // ----- end-to-end loopback -------------------------------------------------
 
-// Starts a real Server on an ephemeral loopback port with a tiny injected
-// dataset (12 items) so queries finish in milliseconds; Serve() runs on a
-// background thread until StopServer() drains it.
+// The two batch executors behind the one front-end and engine: the
+// built-in serve replay, and a 2-shard shard::RouterEngine injected through
+// ServerOptions::engine_factory. They differ only in Engine::RunBatch.
+enum class Executor { kReplay, kRouter };
+
+// Starts a real Server on an ephemeral loopback port with tiny injected
+// datasets (12 items) so queries finish in milliseconds; Serve() runs on a
+// background thread until StopServer() drains it. "tiny" ranks the highest
+// ids on top, "tiny-reversed" the lowest.
 class NetE2ETest : public ::testing::Test {
  protected:
-  void StartServer(ServerOptions options) {
+  void StartServer(ServerOptions options,
+                   Executor executor = Executor::kReplay) {
     options.port = 0;
     options.seed = 20170514;
     options.idle_timeout_ms = options.idle_timeout_ms == 60000
@@ -352,9 +355,22 @@ class NetE2ETest : public ::testing::Test {
                                   : options.idle_timeout_ms;
     options.dataset_factory = [](const std::string& name,
                                  uint64_t) -> std::unique_ptr<data::Dataset> {
-      if (name != "tiny") return nullptr;
-      return data::MakeUniformLadder(12, 2.0, 0.5);
+      if (name == "tiny") return data::MakeUniformLadder(12, 2.0, 0.5);
+      if (name != "tiny-reversed") return nullptr;
+      std::vector<double> scores(12);
+      for (size_t i = 0; i < scores.size(); ++i) scores[i] = 22.0 - 2.0 * i;
+      return std::make_unique<data::GaussianDataset>(
+          "ReversedLadder", std::move(scores), 0.5, 24.0);
     };
+    if (executor == Executor::kRouter) {
+      options.engine_factory = [](const ServerOptions& server_options,
+                                  std::function<void()> wake) {
+        shard::RouterEngineConfig config;
+        config.shards = 2;
+        return std::make_unique<shard::RouterEngine>(server_options, config,
+                                                     std::move(wake));
+      };
+    }
     server_ = std::make_unique<Server>(options);
     ASSERT_TRUE(server_->Start().ok());
     serve_thread_ = std::thread([this] { server_->Serve(); });
@@ -364,6 +380,22 @@ class NetE2ETest : public ::testing::Test {
     if (!server_) return;
     server_->RequestDrain();
     if (serve_thread_.joinable()) serve_thread_.join();
+  }
+
+  // Runs `body` once per Executor, each against a fresh server started
+  // from `options`, so one test body covers both executors.
+  void ForEachExecutor(const ServerOptions& options,
+                       const std::function<void()>& body) {
+    for (const Executor executor : {Executor::kReplay, Executor::kRouter}) {
+      SCOPED_TRACE(executor == Executor::kReplay ? "replay executor"
+                                                 : "2-shard router executor");
+      StartServer(options, executor);
+      if (HasFatalFailure()) return;
+      body();
+      StopServer();
+      server_.reset();
+      if (HasFatalFailure()) return;
+    }
   }
 
   void TearDown() override { StopServer(); }
@@ -440,103 +472,149 @@ TEST_F(NetE2ETest, ResultsAreDeterministicPerBatchIndex) {
 }
 
 TEST_F(NetE2ETest, UnknownDatasetAndAlgorithmAreClientErrors) {
-  StartServer(ServerOptions());
-  Client client(MakeClientOptions());
-  ASSERT_TRUE(client.Connect().ok());
+  ForEachExecutor(ServerOptions(), [this] {
+    Client client(MakeClientOptions());
+    ASSERT_TRUE(client.Connect().ok());
 
-  SubmitQuery bad_dataset = TinyQuery();
-  bad_dataset.dataset = "no-such-dataset";
-  util::StatusOr<int64_t> id = client.Submit(bad_dataset);
-  ASSERT_FALSE(id.ok());
-  EXPECT_EQ(id.status().code(), util::StatusCode::kInvalidArgument);
+    SubmitQuery bad_dataset = TinyQuery();
+    bad_dataset.dataset = "no-such-dataset";
+    util::StatusOr<int64_t> id = client.Submit(bad_dataset);
+    ASSERT_FALSE(id.ok());
+    EXPECT_EQ(id.status().code(), util::StatusCode::kInvalidArgument);
 
-  SubmitQuery bad_algo = TinyQuery("no-such-algo");
-  id = client.Submit(bad_algo);
-  ASSERT_FALSE(id.ok());
-  EXPECT_EQ(id.status().code(), util::StatusCode::kInvalidArgument);
+    SubmitQuery bad_algo = TinyQuery("no-such-algo");
+    id = client.Submit(bad_algo);
+    ASSERT_FALSE(id.ok());
+    EXPECT_EQ(id.status().code(), util::StatusCode::kInvalidArgument);
 
-  SubmitQuery bad_k = TinyQuery();
-  bad_k.k = 0;
-  id = client.Submit(bad_k);
-  ASSERT_FALSE(id.ok());
-  EXPECT_EQ(id.status().code(), util::StatusCode::kInvalidArgument);
+    SubmitQuery bad_k = TinyQuery();
+    bad_k.k = 0;
+    id = client.Submit(bad_k);
+    ASSERT_FALSE(id.ok());
+    EXPECT_EQ(id.status().code(), util::StatusCode::kInvalidArgument);
 
-  // The connection survives rejected submissions: a good query still runs.
-  id = client.Submit(TinyQuery());
-  ASSERT_TRUE(id.ok()) << id.status().ToString();
-  EXPECT_TRUE(client.AwaitResult(*id).ok());
+    // The connection survives rejected submissions: a good query still
+    // runs.
+    id = client.Submit(TinyQuery());
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    EXPECT_TRUE(client.AwaitResult(*id).ok());
+  });
 }
 
 TEST_F(NetE2ETest, QueueFullRejectionCarriesMachineReadableCode) {
   ServerOptions options;
   options.max_queue = 0;  // reject every submission at admission
-  StartServer(options);
-  Client client(MakeClientOptions());
-  ASSERT_TRUE(client.Connect().ok());
-  const util::StatusOr<int64_t> id = client.Submit(TinyQuery());
-  ASSERT_FALSE(id.ok());
-  // kQueueFull maps to ResourceExhausted — asserted on the code, never the
-  // message text.
-  EXPECT_EQ(id.status().code(), util::StatusCode::kResourceExhausted);
+  ForEachExecutor(options, [this] {
+    Client client(MakeClientOptions());
+    ASSERT_TRUE(client.Connect().ok());
+    const util::StatusOr<int64_t> id = client.Submit(TinyQuery());
+    ASSERT_FALSE(id.ok());
+    // kQueueFull maps to ResourceExhausted — asserted on the code, never
+    // the message text.
+    EXPECT_EQ(id.status().code(), util::StatusCode::kResourceExhausted);
+  });
 }
 
 TEST_F(NetE2ETest, CancelUnknownOrFinishedQueryReturnsFalse) {
-  StartServer(ServerOptions());
-  Client client(MakeClientOptions());
-  ASSERT_TRUE(client.Connect().ok());
+  ForEachExecutor(ServerOptions(), [this] {
+    Client client(MakeClientOptions());
+    ASSERT_TRUE(client.Connect().ok());
 
-  util::StatusOr<bool> cancelled = client.Cancel(999);
-  ASSERT_TRUE(cancelled.ok());
-  EXPECT_FALSE(*cancelled);
-  const util::StatusOr<QueryState> unknown = client.GetQueryState(999);
-  ASSERT_TRUE(unknown.ok());
-  EXPECT_EQ(*unknown, QueryState::kUnknown);
+    util::StatusOr<bool> cancelled = client.Cancel(999);
+    ASSERT_TRUE(cancelled.ok());
+    EXPECT_FALSE(*cancelled);
+    const util::StatusOr<QueryState> unknown = client.GetQueryState(999);
+    ASSERT_TRUE(unknown.ok());
+    EXPECT_EQ(*unknown, QueryState::kUnknown);
 
-  const util::StatusOr<int64_t> id = client.Submit(TinyQuery());
-  ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(client.AwaitResult(*id).ok());
-  cancelled = client.Cancel(*id);
-  ASSERT_TRUE(cancelled.ok());
-  EXPECT_FALSE(*cancelled);  // already done, not cancellable
+    const util::StatusOr<int64_t> id = client.Submit(TinyQuery());
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(client.AwaitResult(*id).ok());
+    cancelled = client.Cancel(*id);
+    ASSERT_TRUE(cancelled.ok());
+    EXPECT_FALSE(*cancelled);  // already done, not cancellable
+  });
 }
 
 TEST_F(NetE2ETest, DrainRejectsNewWhileCompletingInFlight) {
-  StartServer(ServerOptions());
-  Client submitter(MakeClientOptions());
-  ASSERT_TRUE(submitter.Connect().ok());
+  ForEachExecutor(ServerOptions(), [this] {
+    Client submitter(MakeClientOptions());
+    ASSERT_TRUE(submitter.Connect().ok());
 
-  // The latecomer handshakes *before* the drain so its submit frame races
-  // only the drain flag, never the (stopped) acceptor.
-  ClientOptions late_options = MakeClientOptions();
-  late_options.request_timeout_ms = 5000;
-  Client latecomer(late_options);
-  ASSERT_TRUE(latecomer.Connect().ok());
+    // The latecomer handshakes *before* the drain so its submit frame
+    // races only the drain flag, never the (stopped) acceptor.
+    ClientOptions late_options = MakeClientOptions();
+    late_options.request_timeout_ms = 5000;
+    Client latecomer(late_options);
+    ASSERT_TRUE(latecomer.Connect().ok());
 
-  // Accepted before the drain: the SubmitAck proves admission.
-  const util::StatusOr<int64_t> id = submitter.Submit(TinyQuery("heapsort"));
-  ASSERT_TRUE(id.ok()) << id.status().ToString();
+    // Accepted before the drain: the SubmitAck proves admission.
+    const util::StatusOr<int64_t> id =
+        submitter.Submit(TinyQuery("heapsort"));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
 
-  server_->RequestDrain();
+    server_->RequestDrain();
 
-  // New work is refused with UNAVAILABLE while the drain runs; if the
-  // drain already finished, the connection was closed, which the client
-  // also surfaces as UNAVAILABLE.
-  const util::StatusOr<int64_t> rejected = latecomer.Submit(TinyQuery());
-  if (rejected.ok()) {
-    // Tiny race window: the submit frame may have been parsed before the
-    // drain flag flipped. Then it is in-flight work and must complete.
-    EXPECT_TRUE(latecomer.AwaitResult(*rejected).ok());
-  } else {
-    EXPECT_EQ(rejected.status().code(), util::StatusCode::kUnavailable);
+    // New work is refused with UNAVAILABLE while the drain runs; if the
+    // drain already finished, the connection was closed, which the client
+    // also surfaces as UNAVAILABLE.
+    const util::StatusOr<int64_t> rejected = latecomer.Submit(TinyQuery());
+    if (rejected.ok()) {
+      // Tiny race window: the submit frame may have been parsed before the
+      // drain flag flipped. Then it is in-flight work and must complete.
+      EXPECT_TRUE(latecomer.AwaitResult(*rejected).ok());
+    } else {
+      EXPECT_EQ(rejected.status().code(), util::StatusCode::kUnavailable);
+    }
+
+    // The accepted query still completes and its result is delivered.
+    const util::StatusOr<Result> result = submitter.AwaitResult(*id);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->status_code,
+              static_cast<uint32_t>(util::StatusCode::kOk));
+    EXPECT_EQ(result->items.size(), 3u);
+
+    if (serve_thread_.joinable()) serve_thread_.join();
+  });
+}
+
+TEST_F(NetE2ETest, CachedJudgmentsNeverCrossDatasets) {
+  // With the cache on, judgments chain from batch to batch. A query on one
+  // dataset must not be answered from another dataset's verdicts on the
+  // same item ids: after a batch on "tiny", a stamped query on
+  // "tiny-reversed" (stamped, so its seed does not depend on the batch
+  // index) returns exactly what it returns on a fresh server.
+  ServerOptions options;
+  options.cache.enabled = true;
+  SubmitQuery reversed = TinyQuery();
+  reversed.dataset = "tiny-reversed";
+  reversed.seed_stream = 1;
+  std::vector<crowd::ItemId> items[2];
+  std::string frames[2];
+  for (int round = 0; round < 2; ++round) {
+    StartServer(options);
+    Client client(MakeClientOptions());
+    ASSERT_TRUE(client.Connect().ok());
+    if (round == 1) {
+      const util::StatusOr<int64_t> earlier = client.Submit(TinyQuery());
+      ASSERT_TRUE(earlier.ok());
+      ASSERT_TRUE(client.AwaitResult(*earlier).ok());
+    }
+    const util::StatusOr<int64_t> id = client.Submit(reversed);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    util::StatusOr<Result> result = client.AwaitResult(*id);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    items[round] = result->items;
+    result->query_id = 0;  // the one field that legitimately differs
+    NetMessage m;
+    m.type = MessageType::kResult;
+    m.result = std::move(*result);
+    frames[round] = FrameMessage(m);
+    StopServer();
+    server_.reset();
   }
-
-  // The accepted query still completes and its result is delivered.
-  const util::StatusOr<Result> result = submitter.AwaitResult(*id);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->status_code, static_cast<uint32_t>(util::StatusCode::kOk));
-  EXPECT_EQ(result->items.size(), 3u);
-
-  if (serve_thread_.joinable()) serve_thread_.join();
+  EXPECT_EQ(items[0], items[1]);
+  EXPECT_EQ(frames[0], frames[1]);
 }
 
 TEST_F(NetE2ETest, ConnectionLimitGreetsWithUnavailable) {
