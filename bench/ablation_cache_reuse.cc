@@ -92,7 +92,6 @@ int main() {
           for (const bool cached : {false, true}) {
             serve::ServeOptions options;
             options.max_inflight = 1;  // FIFO: maximal reuse window
-            options.jobs = 1;
             options.seed = run_seed;
             options.cache.enabled = cached;
             options.cache.transitivity = transitivity;

@@ -80,7 +80,6 @@ int main() {
                                 double* restored) {
           serve::ServeOptions options;
           options.max_inflight = 1;  // FIFO: maximal reuse window
-          options.jobs = 1;
           options.seed = run_seed;
           options.cache.enabled = true;
           options.warm_cache = std::move(warm);

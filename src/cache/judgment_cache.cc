@@ -192,12 +192,8 @@ void JudgmentCache::Record(int64_t query_id, int64_t universe, ItemId i,
   const ItemId hi = std::max(i, j);
   const Key key{universe, CanonicalPair(lo, hi), static_cast<int32_t>(kind)};
   const CachedComparison canonical = i == lo ? entry : Flip(entry);
-  if (options_.deferred_commit) {
-    std::lock_guard<std::mutex> lock(staged_mu_);
-    staged_[query_id].push_back(Staged{key, canonical});
-    return;
-  }
-  Commit(key, canonical);
+  std::lock_guard<std::mutex> lock(staged_mu_);
+  staged_[query_id].push_back(Staged{key, canonical});
 }
 
 void JudgmentCache::Commit(const Key& key, const CachedComparison& entry,

@@ -26,16 +26,16 @@
 //     directly-judged (never themselves inferred) single-hop chains are
 //     composed, so inference error never compounds.
 //
-// Concurrency and determinism (the src/exec contract): the committed map is
-// mutex-sharded for cheap concurrent lookups. Under the serving layer
-// (src/serve) the cache runs in *deferred-commit* mode: queries stage their
-// completed comparisons, and the replay loop applies the staged inserts at
-// the barrier after each stepping pass — sorted by query id — so every
-// query in a pass observes the same snapshot, a pure function of (options,
-// seed, trace), and the replay stays byte-identical for any CROWDTOPK_JOBS
-// value. Two queries that reach the same cold pair within one global round
-// both buy it (the price of determinism); the merge rule below resolves
-// their inserts identically regardless of which stepped first.
+// Concurrency and determinism: the committed map is mutex-sharded for cheap
+// concurrent lookups. Commits are always deferred: queries stage their
+// completed comparisons, and the owner applies the staged inserts with
+// CommitPending() — the serving layer (src/serve) does so at the barrier
+// after each stepping pass, sorted by query id — so every query in a pass
+// observes the same snapshot, a pure function of (options, seed, trace),
+// whatever its step position. Two queries that reach the same cold pair
+// within one global round both buy it (the price of determinism); the
+// merge rule below resolves their inserts identically regardless of which
+// stepped first.
 //
 // Entries live in per-universe namespaces: queries only share judgments when
 // their CacheClients declare the same universe (same oracle) and translate
@@ -73,12 +73,6 @@ struct CacheOptions {
   int64_t capacity = -1;
   // Serve single-hop transitively inferred verdicts (off by default).
   bool transitivity = false;
-  // Deferred-commit mode: Record() stages inserts per query and only
-  // CommitPending() — called at a point where no query runs, e.g. the
-  // serving layer's barrier between rounds — applies them, in query-id
-  // order.
-  // When false, Record() commits immediately (single-threaded replays).
-  bool deferred_commit = false;
 };
 
 // One memoised comparison, oriented so that a positive mean and kLeftWins
@@ -161,11 +155,11 @@ class JudgmentCache {
   LookupResult Lookup(int64_t universe, crowd::ItemId i, crowd::ItemId j,
                       double alpha, int64_t budget, JudgmentKind kind);
 
-  // Records a completed comparison, `entry` oriented for (i, j) as passed.
-  // Immediate mode commits now; deferred mode stages under `query_id` until
-  // CommitPending(). An existing entry is only replaced by a strictly
-  // better one (decisive beats tie, then lower alpha, then higher count),
-  // so commit order between equal entries never changes the map.
+  // Records a completed comparison, `entry` oriented for (i, j) as passed,
+  // staging it under `query_id` until CommitPending(). An existing entry is
+  // only replaced by a strictly better one (decisive beats tie, then lower
+  // alpha, then higher count), so commit order between equal entries never
+  // changes the map.
   // Thread-safe.
   void Record(int64_t query_id, int64_t universe, crowd::ItemId i,
               crowd::ItemId j, JudgmentKind kind,
@@ -173,10 +167,10 @@ class JudgmentCache {
 
   // Applies staged inserts in (query id, staging order). Call only while no
   // query is recording or looking up — the serving layer calls it at its
-  // barriers between rounds. No-op in immediate mode. When `applied` is
-  // non-null, every staged insert is appended to it in apply order
-  // (canonical orientation, regardless of the capacity/merge outcome) — the
-  // write-ahead log records exactly this sequence.
+  // barriers between rounds. When `applied` is non-null, every staged
+  // insert is appended to it in apply order (canonical orientation,
+  // regardless of the capacity/merge outcome) — the write-ahead log records
+  // exactly this sequence.
   void CommitPending(std::vector<ExportedEntry>* applied = nullptr);
 
   // Deterministic dump of every committed entry, sorted by (universe, pair,
@@ -232,9 +226,8 @@ class JudgmentCache {
   Shard* ShardFor(const Key& key);
   const Shard* ShardFor(const Key& key) const;
   // Commits one canonical-orientation entry into its shard (and the
-  // adjacency index when decisive). Immediate mode calls it from Record;
-  // deferred mode from CommitPending; RestoreEntries passes
-  // `restored` = true so warm-start imports are counted separately.
+  // adjacency index when decisive). CommitPending calls it; RestoreEntries
+  // passes `restored` = true so warm-start imports are counted separately.
   void Commit(const Key& key, const CachedComparison& entry,
               bool restored = false);
   // True when `incoming` should replace `existing`.

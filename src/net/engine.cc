@@ -321,7 +321,6 @@ std::vector<Completion> Engine::RunBatch(int64_t batch_index,
   // Unbounded: admission control already happened in Submit, and with
   // every arrival at t=0 a serve-level bound could never fire anyway.
   serve_options.max_queue = -1;
-  serve_options.jobs = options_.jobs;
   // Router-stamped batches run under the constant master seed: every
   // stream is then keyed by the stamped global id, so the outcome does not
   // depend on which batch (or shard) the query landed in. Unstamped

@@ -105,7 +105,6 @@ struct ServerOptions {
   uint64_t seed = 20170514;
   serve::ScheduleOptions schedule;
   int64_t max_inflight = 16;
-  int64_t jobs = 1;
   // Shared judgment cache; committed entries chain across batches.
   cache::CacheOptions cache;
 

@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "exec/parallel_for.h"
 #include "util/check.h"
 #include "util/random.h"
 
@@ -18,11 +17,9 @@ constexpr uint64_t kLatencyStream = 0x6c61746e63790001ULL;
 
 }  // namespace
 
-BatchScheduler::BatchScheduler(const ScheduleOptions& options, uint64_t seed,
-                               exec::ThreadPool* pool)
+BatchScheduler::BatchScheduler(const ScheduleOptions& options, uint64_t seed)
     : options_(options),
       seed_(util::SplitSeed(seed, kLatencyStream)),
-      pool_(pool),
       tracker_(options.max_attempts) {
   CROWDTOPK_CHECK_GE(options.crowd_workers, 1);
   CROWDTOPK_CHECK_GE(options.per_pair_batch, 1);
@@ -91,10 +88,9 @@ void BatchScheduler::Barrier(int64_t query_id, int64_t rounds) {
 BatchScheduler::AttemptOutcome BatchScheduler::SimulateAttempt(
     const Assignment& assignment) const {
   // Pure function of (scheduler seed, assignment identity, attempt): the
-  // same microtask retried later, or simulated on a different thread,
-  // always draws the same worker. The stream key is the query's seed_stream
-  // (== query_id unless a router overrode it), so a re-dispatched query
-  // meets the same workers on its new shard.
+  // same microtask retried later always draws the same worker. The stream
+  // key is the query's seed_stream (== query_id unless a router overrode
+  // it), so a re-dispatched query meets the same workers on its new shard.
   uint64_t seed = util::SplitSeed(seed_, assignment.seed_stream);
   seed = util::SplitSeed(seed, assignment.request_seq);
   seed = util::SplitSeed(seed, assignment.task_index);
@@ -130,18 +126,14 @@ void BatchScheduler::ExecuteRound() {
   const std::vector<Assignment> wave = tracker_.TakeWave(
       round_, options_.crowd_workers, options_.per_pair_batch);
   double duration = 0.0;
-  // Fan the wave simulation out on the thread pool: outcome[i] is a pure
-  // function of wave[i], so any worker count produces identical results.
-  std::vector<AttemptOutcome> outcomes(wave.size());
-  exec::ParallelFor(pool_, 0, static_cast<int64_t>(wave.size()),
-                    [&](int64_t i) { outcomes[i] = SimulateAttempt(wave[i]); });
   bool any_expired = false;
-  for (size_t i = 0; i < wave.size(); ++i) {
-    QueryState& q = queries_.at(wave[i].query_id);
-    switch (tracker_.Resolve(wave[i], outcomes[i].expired)) {
+  for (const Assignment& assignment : wave) {
+    const AttemptOutcome outcome = SimulateAttempt(assignment);
+    QueryState& q = queries_.at(assignment.query_id);
+    switch (tracker_.Resolve(assignment, outcome.expired)) {
       case AssignmentTracker::Resolution::kCompleted:
         ++q.resolved;
-        duration = std::max(duration, outcomes[i].latency_seconds);
+        duration = std::max(duration, outcome.latency_seconds);
         break;
       case AssignmentTracker::Resolution::kRequeued:
         ++q.stats.expired_assignments;
@@ -158,9 +150,9 @@ void BatchScheduler::ExecuteRound() {
         any_expired = true;
         if (q.stats.status.ok()) {
           q.stats.status = util::Status::ResourceExhausted(
-              "assignment for pair (" + std::to_string(wave[i].item_i) +
-              ", " + std::to_string(wave[i].item_j) + ") of query " +
-              std::to_string(wave[i].query_id) + " expired " +
+              "assignment for pair (" + std::to_string(assignment.item_i) +
+              ", " + std::to_string(assignment.item_j) + ") of query " +
+              std::to_string(assignment.query_id) + " expired " +
               std::to_string(tracker_.max_attempts()) + " times");
         }
         break;

@@ -13,8 +13,9 @@
 //
 // Worker latencies are derived per (query, request, task, attempt) via
 // chained util::SplitSeed — never from a shared draw-order-dependent
-// stream — so the wave simulation can fan out on an exec::ThreadPool with
-// any number of threads and still produce bit-identical reports.
+// stream — so an assignment meets the same worker however the wave around
+// it is composed: a requeued microtask, or a query a shard router
+// re-dispatched to another engine, draws the identical latency.
 //
 // An assignment that expires max_attempts times is dropped and the owning
 // query is marked failed (util::Status kResourceExhausted); the query still
@@ -32,7 +33,6 @@
 #include <vector>
 
 #include "crowd/types.h"
-#include "exec/thread_pool.h"
 #include "serve/assignment_tracker.h"
 #include "serve/fiber.h"
 #include "util/status.h"
@@ -80,11 +80,9 @@ struct QueryServeStats {
 
 class BatchScheduler {
  public:
-  // `pool` may be nullptr (serial wave simulation); if non-null it must
-  // outlive the scheduler. `seed` drives worker latencies only — judgment
-  // values belong to the queries' own platforms.
-  BatchScheduler(const ScheduleOptions& options, uint64_t seed,
-                 exec::ThreadPool* pool);
+  // `seed` drives worker latencies only — judgment values belong to the
+  // queries' own platforms.
+  BatchScheduler(const ScheduleOptions& options, uint64_t seed);
 
   BatchScheduler(const BatchScheduler&) = delete;
   BatchScheduler& operator=(const BatchScheduler&) = delete;
@@ -160,7 +158,6 @@ class BatchScheduler {
 
   ScheduleOptions options_;
   uint64_t seed_;
-  exec::ThreadPool* pool_;
   double lognormal_mu_;
 
   std::map<int64_t, QueryState> queries_;

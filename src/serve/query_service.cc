@@ -25,9 +25,8 @@ constexpr uint64_t kJudgmentStream = 0x6a7564676d656e74ULL;
 // Everything that shapes the replay's outcomes goes into the persist
 // manifest fingerprint: resuming under a different configuration would
 // re-execute a *different* deterministic function and silently diverge
-// from the durable records. jobs and trace_dir are excluded on purpose —
-// they never change results, and resuming with a different worker count
-// is an explicitly supported (and tested) case.
+// from the durable records. trace_dir is excluded on purpose: it never
+// changes results.
 uint64_t ConfigFingerprint(const ServeOptions& options,
                            const std::vector<QueryRequest>& requests,
                            const std::vector<double>& arrivals) {
@@ -70,7 +69,6 @@ QueryService::QueryService(const ServeOptions& options)
     : options_(options),
       judgment_seed_(util::SplitSeed(options.seed, kJudgmentStream)) {
   CROWDTOPK_CHECK_GE(options.max_inflight, 1);
-  CROWDTOPK_CHECK_GE(options.jobs, 0);
 }
 
 std::vector<QueryOutcome> QueryService::Replay(
@@ -92,20 +90,13 @@ std::vector<QueryOutcome> QueryService::Replay(
     outcomes_[i].arrival_seconds = arrivals[i];
   }
 
-  if (options_.jobs != 1) {
-    pool_ = std::make_unique<exec::ThreadPool>(
-        options_.jobs == 0 ? exec::ThreadPool::HardwareThreads()
-                           : options_.jobs);
-  }
   scheduler_ = std::make_unique<BatchScheduler>(options_.schedule,
-                                                options_.seed, pool_.get());
+                                                options_.seed);
   if (options_.cache.enabled) {
-    // Deferred commit is mandatory with many queries in flight: inserts
-    // apply only between stepping passes, in query-id order, so every query
-    // in a pass sees the same committed cache whatever its position.
-    cache::CacheOptions cache_options = options_.cache;
-    cache_options.deferred_commit = true;
-    cache_ = std::make_unique<cache::JudgmentCache>(cache_options);
+    // Inserts apply only between stepping passes (CommitPending below), in
+    // query-id order, so every query in a pass sees the same committed
+    // cache whatever its position.
+    cache_ = std::make_unique<cache::JudgmentCache>(options_.cache);
     // Resolve cache universes: explicit request values win; otherwise one
     // universe per distinct dataset pointer, numbered past the largest
     // explicit id in first-seen request order.

@@ -3,10 +3,8 @@
 // Throughput plus latency percentiles in both batch rounds and simulated
 // seconds, over the successfully completed queries. Rendering is fully
 // deterministic — fixed formats, no clocks, no locale — so two replays
-// with equal (options, seed, trace) produce byte-identical reports no
-// matter how many threads simulated them; the serve tests and the
-// crowdtopk_serve CLI rely on that for the jobs=1 vs jobs=8 bit-identity
-// check.
+// with equal (options, seed, trace) produce byte-identical reports; the
+// serve tests and the CI's repeated-replay diff rely on that.
 
 #ifndef CROWDTOPK_SERVE_REPORT_H_
 #define CROWDTOPK_SERVE_REPORT_H_

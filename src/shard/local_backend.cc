@@ -26,7 +26,6 @@ util::StatusOr<ShardBatchResult> LocalShardBackend::RunBatch(
   // queue bound would reject queries based on *placement*, breaking the
   // shard-count-invariance of the merged result table.
   serve_options.max_queue = -1;
-  serve_options.jobs = options_.jobs;
   // Constant master seed: every judgment/latency stream is keyed by the
   // stamped global id, never by which shard or batch ran the query.
   serve_options.seed = options_.seed;

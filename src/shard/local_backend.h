@@ -30,7 +30,6 @@ class LocalShardBackend : public ShardBackend {
     uint64_t seed = 20170514;  // master seed, shared by every shard
     serve::ScheduleOptions schedule;
     int64_t max_inflight = 16;
-    int64_t jobs = 1;
     cache::CacheOptions cache;
     // Fault injection: die while executing the N-th batch (1-based);
     // <= 0 disables.

@@ -146,7 +146,6 @@ void ShardRouter::SyncCaches() {
   if (!any) return;
   cache::CacheOptions merge_options = options_.cache;
   merge_options.enabled = true;
-  merge_options.deferred_commit = false;
   cache::JudgmentCache merged(merge_options);
   for (const std::unique_ptr<ShardBackend>& backend : backends_) {
     if (backend->dead() || !backend->SupportsCacheSync()) continue;

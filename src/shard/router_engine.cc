@@ -33,7 +33,6 @@ RouterEngine::RouterEngine(const net::ServerOptions& options,
       backend_options.seed = options.seed;
       backend_options.schedule = options.schedule;
       backend_options.max_inflight = options.max_inflight;
-      backend_options.jobs = options.jobs;
       backend_options.cache = options.cache;
       if (s == config.fail_shard) {
         backend_options.fail_at_batch = config.fail_at_batch;

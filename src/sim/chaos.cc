@@ -126,8 +126,6 @@ Episode DeriveEpisode(uint64_t seed) {
                             : 0;
   }
 
-  e.jobs_b = root.Split(6).Bernoulli(0.5) ? 4 : 8;
-
   util::Rng wire = root.Split(7);
   e.wire_trials = wire.UniformInt(1, 3);
   const double roll = wire.Uniform();
@@ -207,8 +205,6 @@ std::string ToSpec(const Episode& e) {
   AppendKv(&s, "walseg", FmtI(e.wal_segment_bytes));
   AppendKv(&s, "halt", FmtI(e.halt_after_barrier));
   AppendKv(&s, "torn", FmtI(e.torn_tail_bytes));
-  AppendKv(&s, "jobsa", FmtI(e.jobs_a));
-  AppendKv(&s, "jobsb", FmtI(e.jobs_b));
   AppendKv(&s, "wire", FmtI(e.wire_trials));
   AppendKv(&s, "corrupt", FmtI(static_cast<int32_t>(e.wire_corruption)));
   AppendKv(&s, "verify", FmtI(e.check_verify ? 1 : 0));
@@ -322,10 +318,6 @@ util::StatusOr<Episode> EpisodeFromSpec(const std::string& spec) {
       ok = ParseI(value, &e.halt_after_barrier);
     } else if (key == "torn") {
       ok = ParseI(value, &e.torn_tail_bytes);
-    } else if (key == "jobsa") {
-      ok = ParseI(value, &e.jobs_a);
-    } else if (key == "jobsb") {
-      ok = ParseI(value, &e.jobs_b);
     } else if (key == "wire") {
       ok = ParseI(value, &e.wire_trials);
     } else if (key == "corrupt") {

@@ -11,9 +11,9 @@
 // hand back a minimal episode as a copy-pasteable replay command.
 //
 // Sizes are deliberately small (<= 16 items, <= 6 queries): one episode
-// runs the full serving stack up to ~8 times (jobs pairs, cache ablation,
-// crash/resume, warm restart), and the CI sweep runs 64+ episodes under
-// TSAN too.
+// runs the full serving stack up to ~8 times (repeat replays, cache
+// ablation, crash/resume, warm restart), and the CI sweep runs 64+ episodes
+// under TSAN too.
 
 #ifndef CROWDTOPK_SIM_CHAOS_H_
 #define CROWDTOPK_SIM_CHAOS_H_
@@ -83,10 +83,6 @@ struct Episode {
   // Cut this many bytes off the newest WAL segment before resuming.
   int64_t torn_tail_bytes = 0;
 
-  // ----- determinism probes ---------------------------------------------
-  int64_t jobs_a = 1;  // reference worker count
-  int64_t jobs_b = 4;  // must be bit-identical to jobs_a
-
   // ----- wire fuzzing (net::FrameReader) ---------------------------------
   int64_t wire_trials = 2;  // clean split-point trials per episode
   WireCorruption wire_corruption = WireCorruption::kNone;
@@ -104,9 +100,9 @@ struct Episode {
 
   // ----- mutation hook (never derived from the seed) ---------------------
   // Deliberate determinism bugs for the harness acceptance test
-  // (docs/SIMULATION.md): "" none, "seed-drift" perturbs the jobs_b replay
-  // seed, "cache-leak" gives the capacity-0 control run one cache slot,
-  // "wire-flip" flips a bit in a clean wire trial.
+  // (docs/SIMULATION.md): "" none, "seed-drift" perturbs the second cold
+  // replay's seed, "cache-leak" gives the capacity-0 control run one cache
+  // slot, "wire-flip" flips a bit in a clean wire trial.
   std::string mutation;
 
   fault::FaultPlan FaultPlanFor() const;

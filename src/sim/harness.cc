@@ -24,7 +24,6 @@ namespace {
 // How one replay within the episode deviates from the episode's own
 // configuration (the control runs of the invariant families).
 struct RunConfig {
-  int64_t jobs = 1;
   uint64_t seed_bump = 0;  // "seed-drift" mutation hook
   enum class CacheMode { kEpisode, kOff, kZeroCapacity, kOneSlot };
   CacheMode cache_mode = CacheMode::kEpisode;
@@ -85,7 +84,6 @@ RunArtifacts RunReplay(const Episode& e, const RunConfig& config) {
   options.schedule.max_attempts = e.max_attempts;
   options.max_inflight = e.max_inflight;
   options.max_queue = e.max_queue;
-  options.jobs = config.jobs;
   options.seed = env.StreamSeed(Stream::kReplay) + config.seed_bump;
   switch (config.cache_mode) {
     case RunConfig::CacheMode::kEpisode:
@@ -196,8 +194,6 @@ Episode NormalizeEpisode(const Episode& episode) {
   e.wal_segment_bytes = std::clamp<int64_t>(e.wal_segment_bytes, 256, 1 << 20);
   if (e.halt_after_barrier < -1) e.halt_after_barrier = -1;
   e.torn_tail_bytes = std::clamp<int64_t>(e.torn_tail_bytes, 0, 1 << 16);
-  e.jobs_a = std::clamp<int64_t>(e.jobs_a, 1, 16);
-  e.jobs_b = std::clamp<int64_t>(e.jobs_b, 1, 16);
   e.wire_trials = std::clamp<int64_t>(e.wire_trials, 0, 16);
   e.shards = std::clamp<int64_t>(e.shards, 0, 8);
   if (e.shards < 2) e.shard_kill = false;
@@ -210,19 +206,16 @@ std::vector<Violation> RunEpisode(const Episode& episode,
   std::vector<Violation> violations;
   util::EnsureDirectory(scratch_dir);
 
-  // --- jobs bit-identity: the core determinism contract ------------------
-  RunConfig base;
-  base.jobs = e.jobs_a;
+  // --- repeat bit-identity: the core determinism contract ----------------
+  // A second cold replay on a fresh QueryService catches hidden state
+  // carried across replays and any dependence on pointer or heap order.
+  const RunConfig base;
   const RunArtifacts cold = RunReplay(e, base);
 
-  RunConfig wide = base;
-  wide.jobs = e.jobs_b;
-  if (e.mutation == "seed-drift") wide.seed_bump = 1;
-  const RunArtifacts cold_wide = RunReplay(e, wide);
-  CheckBitIdentity("jobs-bit-identity",
-                   "jobs=" + std::to_string(e.jobs_a) + " vs jobs=" +
-                       std::to_string(e.jobs_b),
-                   cold, cold_wide, &violations);
+  RunConfig repeat = base;
+  if (e.mutation == "seed-drift") repeat.seed_bump = 1;
+  CheckBitIdentity("repeat-bit-identity", "cold vs repeated cold", cold,
+                   RunReplay(e, repeat), &violations);
 
   CheckCacheExport(e, cold, &violations);
 
@@ -254,7 +247,7 @@ std::vector<Violation> RunEpisode(const Episode& episode,
     }
 
     // Crash image: halt persisting mid-run, optionally tear the WAL tail,
-    // then resume at the other worker count.
+    // then resume.
     const std::string crash_dir = FreshDir(scratch_dir + "/crash");
     RunConfig crash = base;
     crash.persist_dir = crash_dir;
@@ -267,13 +260,12 @@ std::vector<Violation> RunEpisode(const Episode& episode,
       TearWalTail(crash_dir, e.torn_tail_bytes, &violations);
     }
     RunConfig resume = base;
-    resume.jobs = e.jobs_b;
     resume.persist_dir = crash_dir;
     resume.resume = true;
     CheckResume(e, cold, RunReplay(e, resume), &violations);
 
     // Warm restart off the completed generation's snapshot: two warm runs
-    // at different worker counts must agree byte-for-byte.
+    // on fresh services must agree byte-for-byte.
     persist::SnapshotData snapshot;
     const util::Status loaded =
         persist::LoadLatestSnapshot(complete_dir, &snapshot);
@@ -282,15 +274,10 @@ std::vector<Violation> RunEpisode(const Episode& episode,
                             "no loadable snapshot after a complete run: " +
                                 loaded.ToString()});
     } else {
-      RunConfig warm_a = base;
-      warm_a.warm = &snapshot.cache_entries;
-      RunConfig warm_b = warm_a;
-      warm_b.jobs = e.jobs_b;
-      CheckBitIdentity("warm-restart-determinism",
-                       "warm jobs=" + std::to_string(e.jobs_a) +
-                           " vs jobs=" + std::to_string(e.jobs_b),
-                       RunReplay(e, warm_a), RunReplay(e, warm_b),
-                       &violations);
+      RunConfig warm = base;
+      warm.warm = &snapshot.cache_entries;
+      CheckBitIdentity("warm-restart-determinism", "warm vs repeated warm",
+                       RunReplay(e, warm), RunReplay(e, warm), &violations);
     }
   }
 
@@ -356,7 +343,6 @@ Episode ShrinkEpisode(const Episode& failing, const std::string& scratch_dir,
       [](Episode* e) { e->abandon_probability = 0.0; },
       [](Episode* e) { e->max_queue = -1; },
       [](Episode* e) { e->algorithms = 1; },
-      [](Episode* e) { e->jobs_b = 2; },
   };
   std::vector<Violation> last;
   for (const auto& step : steps) {

@@ -51,7 +51,8 @@ SweepResult SweepSeeds(uint64_t master_seed, int64_t count,
 // Greedy shrink: disables chaos dimensions and halves the workload while
 // the episode keeps failing, in a fixed order (wire -> verify -> shard
 // kill -> shards -> torn tail -> halt -> persist -> transitivity ->
-// capacity -> cache -> faults -> queries -> items -> jobs -> algorithms).
+// capacity -> cache -> faults -> abandonment -> queue -> algorithms, then
+// halving queries and items).
 // Deterministic; returns the minimal still-failing episode and
 // (optionally) its violations.
 Episode ShrinkEpisode(const Episode& failing, const std::string& scratch_dir,

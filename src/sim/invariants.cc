@@ -430,7 +430,6 @@ ShardReplay RunShardReplay(const Episode& e, int64_t shards,
         fault::NoShowProbability(e.FaultPlanFor());
     backend_options.schedule.max_attempts = e.max_attempts;
     backend_options.max_inflight = e.max_inflight;
-    backend_options.jobs = 1;
     if (s == kill_shard) backend_options.fail_at_batch = 1;
     backends.push_back(
         std::make_unique<shard::LocalShardBackend>(backend_options));

@@ -5,8 +5,8 @@
 // appends a Violation per broken property. The families, mapped to the
 // layers they guard (docs/SIMULATION.md has the triage table):
 //
-//   jobs-bit-identity          serve/exec: report + table bytes equal for
-//                              any worker count
+//   repeat-bit-identity        serve: report + table bytes equal across
+//                              two replays on fresh services
 //   cache-capacity0-identity   cache: an attached capacity-0 cache is
 //                              byte-identical to no cache at all
 //   cache-export-soundness     cache: alpha gate, capacity bound, counter
@@ -18,7 +18,7 @@
 //   wal-frontier-monotonic     persist: durable barrier records advance
 //                              monotonically on disk
 //   warm-restart-determinism   cache+persist: a warm restart is itself
-//                              bit-identical across worker counts
+//                              bit-identical when repeated
 //   wire-reassembly-identity   net: split points never change reassembly;
 //                              corruption is classified, never delivered
 //   verify-preservation        verify: guarantee checks are engine-width

@@ -38,9 +38,10 @@ int64_t BenchRuns(int64_t fallback = 5);
 // Master seed for benches; override with CROWDTOPK_SEED.
 uint64_t BenchSeed(uint64_t fallback = 20170514);  // SIGMOD'17 opening day.
 
-// Worker threads for the parallel experiment engine (exec/run_engine.h).
-// CROWDTOPK_JOBS; 1 runs everything inline on the calling thread (the
-// legacy serial path), 0/unset means hardware concurrency. Results are
+// Worker threads for the parallel experiment engine (exec/run_engine.h):
+// CROWDTOPK_JOBS, read by the bench harness and crowdtopk_verify only (the
+// serving CLIs run each replay on one thread). 1 runs everything inline on
+// the calling thread, 0/unset means hardware concurrency. Results are
 // bit-identical for every value (per-run SplitSeed streams + canonical-
 // order reduction); the knob only changes wall-clock time.
 int64_t BenchJobs();

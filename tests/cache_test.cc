@@ -3,7 +3,10 @@
 // translation, capacity semantics (0 = byte-identical pass-through),
 // deferred-commit determinism, the transitivity composition rule, bit-exact
 // session resumption against a cold run, and end-to-end TMC savings with
-// bit-identity across serve worker counts.
+// bit-identity across repeated cached serve replays.
+//
+// Record() only stages; every test commits with CommitPending() before it
+// looks up, exactly as the serving layer does at its barriers.
 
 #include <memory>
 #include <vector>
@@ -66,6 +69,7 @@ TEST(JudgmentCacheTest, HitOnlyAtCoveringConfidence) {
   JudgmentCache cache(CacheOptions{});
   cache.Record(0, 0, 1, 2, JudgmentKind::kPreference,
                DecisiveEntry(/*alpha=*/0.02, /*count=*/60, /*mean=*/0.4));
+  cache.CommitPending();
 
   EXPECT_EQ(cache.Lookup(0, 1, 2, 0.02, 1000, JudgmentKind::kPreference)
                 .status,
@@ -83,6 +87,7 @@ TEST(JudgmentCacheTest, HitOnlyAtCoveringConfidence) {
 TEST(JudgmentCacheTest, TieHitRequiresBudgetCoverage) {
   JudgmentCache cache(CacheOptions{});
   cache.Record(0, 0, 1, 2, JudgmentKind::kPreference, TieEntry(/*count=*/100));
+  cache.CommitPending();
 
   EXPECT_EQ(cache.Lookup(0, 1, 2, 0.02, 100, JudgmentKind::kPreference)
                 .status,
@@ -100,6 +105,7 @@ TEST(JudgmentCacheTest, LookupOrientsEntryForCaller) {
   JudgmentCache cache(CacheOptions{});
   cache.Record(0, 0, /*i=*/5, /*j=*/3, JudgmentKind::kPreference,
                DecisiveEntry(0.02, 60, /*mean=*/0.4));  // 5 beats 3
+  cache.CommitPending();
 
   const LookupResult forward =
       cache.Lookup(0, 5, 3, 0.02, 1000, JudgmentKind::kPreference);
@@ -118,6 +124,7 @@ TEST(JudgmentCacheTest, KindAndUniverseNamespacesAreDisjoint) {
   JudgmentCache cache(CacheOptions{});
   cache.Record(0, /*universe=*/0, 1, 2, JudgmentKind::kPreference,
                DecisiveEntry(0.02, 60, 0.4));
+  cache.CommitPending();
 
   EXPECT_EQ(cache.Lookup(0, 1, 2, 0.02, 1000, JudgmentKind::kBinary).status,
             LookupStatus::kMiss);
@@ -132,6 +139,7 @@ TEST(JudgmentCacheTest, CapacityZeroStoresAndServesNothing) {
   JudgmentCache cache(options);
   cache.Record(0, 0, 1, 2, JudgmentKind::kPreference,
                DecisiveEntry(0.02, 60, 0.4));
+  cache.CommitPending();
   EXPECT_EQ(cache.num_pairs(), 0);
   EXPECT_EQ(cache.Lookup(0, 1, 2, 0.02, 1000, JudgmentKind::kPreference)
                 .status,
@@ -146,11 +154,13 @@ TEST(JudgmentCacheTest, FullCacheDropsNewPairsDeterministically) {
                DecisiveEntry(0.02, 60, 0.4));
   cache.Record(0, 0, 3, 4, JudgmentKind::kPreference,
                DecisiveEntry(0.02, 60, 0.4));
+  cache.CommitPending();
   EXPECT_EQ(cache.num_pairs(), 1);
   EXPECT_EQ(cache.stats().dropped_capacity, 1);
   // Upgrading the resident pair still works at capacity.
   cache.Record(0, 0, 1, 2, JudgmentKind::kPreference,
                DecisiveEntry(0.01, 90, 0.4));
+  cache.CommitPending();
   EXPECT_EQ(cache.stats().upgrades, 1);
 }
 
@@ -161,12 +171,14 @@ TEST(JudgmentCacheTest, BetterEntryReplacesWorse) {
   cache.Record(0, 0, 1, 2, JudgmentKind::kPreference, TieEntry(1000));
   cache.Record(0, 0, 1, 2, JudgmentKind::kPreference,
                DecisiveEntry(0.02, 60, 0.4));
+  cache.CommitPending();
   EXPECT_EQ(cache.stats().upgrades, 1);
   EXPECT_TRUE(cache.Lookup(0, 1, 2, 0.02, 1000, JudgmentKind::kPreference)
                   .entry.decisive);
   // A later, weaker verdict does not displace the stronger one.
   cache.Record(0, 0, 1, 2, JudgmentKind::kPreference,
                DecisiveEntry(0.05, 40, 0.4));
+  cache.CommitPending();
   EXPECT_EQ(cache.stats().upgrades, 1);
   EXPECT_DOUBLE_EQ(
       cache.Lookup(0, 1, 2, 0.02, 1000, JudgmentKind::kPreference).entry.alpha,
@@ -174,9 +186,7 @@ TEST(JudgmentCacheTest, BetterEntryReplacesWorse) {
 }
 
 TEST(JudgmentCacheTest, DeferredCommitAppliesOnlyAtBarrier) {
-  CacheOptions options;
-  options.deferred_commit = true;
-  JudgmentCache cache(options);
+  JudgmentCache cache(CacheOptions{});
   cache.Record(/*query_id=*/7, 0, 1, 2, JudgmentKind::kPreference,
                DecisiveEntry(0.02, 60, 0.4));
   EXPECT_EQ(cache.Lookup(0, 1, 2, 0.02, 1000, JudgmentKind::kPreference)
@@ -200,6 +210,7 @@ TEST(TransitivityTest, ComposesSameDirectionChainsUnderUnionBound) {
                DecisiveEntry(0.005, 60, 0.4));
   cache.Record(0, 0, 5, 2, JudgmentKind::kPreference,
                DecisiveEntry(0.005, 60, 0.4));
+  cache.CommitPending();
 
   // alpha = 0.02 >= 0.005 + 0.005: served.
   const LookupResult inferred =
@@ -224,6 +235,7 @@ TEST(TransitivityTest, RefusesWhenComposedAlphaExceedsRequest) {
                DecisiveEntry(0.02, 60, 0.4));
   cache.Record(0, 0, 5, 2, JudgmentKind::kPreference,
                DecisiveEntry(0.02, 60, 0.4));
+  cache.CommitPending();
   EXPECT_EQ(cache.Lookup(0, 1, 2, 0.02, 1000, JudgmentKind::kPreference)
                 .status,
             LookupStatus::kMiss);
@@ -238,6 +250,7 @@ TEST(TransitivityTest, RefusesMixedDirectionChains) {
                DecisiveEntry(0.005, 60, 0.4));
   cache.Record(0, 0, 2, 5, JudgmentKind::kPreference,
                DecisiveEntry(0.005, 60, 0.4));
+  cache.CommitPending();
   EXPECT_EQ(cache.Lookup(0, 1, 2, 0.02, 1000, JudgmentKind::kPreference)
                 .status,
             LookupStatus::kMiss);
@@ -249,6 +262,7 @@ TEST(TransitivityTest, OffByDefault) {
                DecisiveEntry(0.005, 60, 0.4));
   cache.Record(0, 0, 5, 2, JudgmentKind::kPreference,
                DecisiveEntry(0.005, 60, 0.4));
+  cache.CommitPending();
   EXPECT_EQ(cache.Lookup(0, 1, 2, 0.02, 1000, JudgmentKind::kPreference)
                 .status,
             LookupStatus::kMiss);
@@ -263,6 +277,7 @@ TEST(CacheClientTest, TranslatesLocalIdsAndPreservesOrientation) {
   // resolves local 0 > local 2 (universe 10 > 30).
   CacheClient a(&cache, /*query_id=*/0, /*universe=*/0, {10, 20, 30});
   a.Record(0, 2, JudgmentKind::kPreference, DecisiveEntry(0.02, 60, 0.4));
+  cache.CommitPending();
 
   // Query B sees the same universe items in a different local order.
   CacheClient b(&cache, /*query_id=*/1, /*universe=*/0, {30, 10});
@@ -360,6 +375,7 @@ TEST(ComparisonCacheSharedTest, SecondQueryHitsWithoutPurchases) {
     judgment::ComparisonCache cache(options, &first_platform);
     first_outcome = cache.Compare(0, 1, &first_platform);
   }  // destructor publishes
+  shared.CommitPending();
   ASSERT_GT(first_platform.total_microtasks(), 0);
   EXPECT_EQ(shared.num_pairs(), 1);
 
@@ -391,7 +407,6 @@ TEST(ComparisonCacheSharedTest, NoClientMeansNoSharing) {
 serve::ServeOptions SequentialServe(bool cached) {
   serve::ServeOptions options;
   options.max_inflight = 1;
-  options.jobs = 1;
   options.seed = 77;
   options.cache.enabled = cached;
   return options;
@@ -456,8 +471,8 @@ TEST(ServeCacheTest, ZeroCapacityIsByteIdenticalToDisabled) {
 }
 
 // The determinism contract extends to the shared cache: a concurrent cached
-// replay is bit-identical between jobs=1 and jobs=8.
-TEST(ServeCacheTest, CachedReplayBitIdenticalAcrossJobs) {
+// replay on a fresh service repeats bit-identically.
+TEST(ServeCacheTest, CachedReplayBitIdenticalAcrossRepeatedReplays) {
   const auto dataset = data::MakeUniformLadder(16, 10.0, 2.0);
   judgment::ComparisonOptions comparison;
   baselines::TournamentTree algorithm(comparison);
@@ -470,23 +485,22 @@ TEST(ServeCacheTest, CachedReplayBitIdenticalAcrossJobs) {
   }
   const std::vector<double> arrivals(6, 0.0);
 
-  std::vector<std::vector<serve::QueryOutcome>> by_jobs;
-  for (const int64_t jobs : {int64_t{1}, int64_t{8}}) {
+  std::vector<std::vector<serve::QueryOutcome>> runs;
+  for (int run = 0; run < 2; ++run) {
     serve::ServeOptions options;
-    options.max_inflight = 4;  // concurrent drivers share the cache
-    options.jobs = jobs;
+    options.max_inflight = 4;  // concurrent queries share the cache
     options.seed = 77;
     options.cache.enabled = true;
     serve::QueryService service(options);
-    by_jobs.push_back(service.Replay(requests, arrivals));
+    runs.push_back(service.Replay(requests, arrivals));
   }
-  ASSERT_EQ(by_jobs[0].size(), by_jobs[1].size());
-  for (size_t q = 0; q < by_jobs[0].size(); ++q) {
-    EXPECT_EQ(by_jobs[0][q].items, by_jobs[1][q].items);
-    EXPECT_EQ(by_jobs[0][q].total_microtasks, by_jobs[1][q].total_microtasks);
-    EXPECT_EQ(by_jobs[0][q].cache_hits, by_jobs[1][q].cache_hits);
-    EXPECT_EQ(by_jobs[0][q].cache_topups, by_jobs[1][q].cache_topups);
-    EXPECT_EQ(by_jobs[0][q].finish_seconds, by_jobs[1][q].finish_seconds);
+  ASSERT_EQ(runs[0].size(), runs[1].size());
+  for (size_t q = 0; q < runs[0].size(); ++q) {
+    EXPECT_EQ(runs[0][q].items, runs[1][q].items);
+    EXPECT_EQ(runs[0][q].total_microtasks, runs[1][q].total_microtasks);
+    EXPECT_EQ(runs[0][q].cache_hits, runs[1][q].cache_hits);
+    EXPECT_EQ(runs[0][q].cache_topups, runs[1][q].cache_topups);
+    EXPECT_EQ(runs[0][q].finish_seconds, runs[1][q].finish_seconds);
   }
 }
 
@@ -544,6 +558,7 @@ TEST(JudgmentCacheTest, DropsAreCountedPerUniverse) {
                DecisiveEntry(0.02, 50, 0.9));
   cache.Record(0, 0, 5, 6, JudgmentKind::kPreference,
                DecisiveEntry(0.02, 50, 0.9));
+  cache.CommitPending();
 
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.dropped_capacity, 3);
@@ -553,6 +568,7 @@ TEST(JudgmentCacheTest, DropsAreCountedPerUniverse) {
   // Upgrades of an existing pair are not drops.
   cache.Record(0, 0, 1, 2, JudgmentKind::kPreference,
                DecisiveEntry(0.01, 80, 0.9));
+  cache.CommitPending();
   EXPECT_EQ(cache.stats().dropped_capacity, 3);
 }
 
@@ -565,6 +581,7 @@ TEST(JudgmentCacheTest, ExportRestoreRoundTrip) {
                DecisiveEntry(0.02, 50, 0.9));
   donor.Record(0, 3, /*i=*/9, /*j=*/4, JudgmentKind::kPreference,
                DecisiveEntry(0.05, 20, -0.4));
+  donor.CommitPending();
   const std::vector<ExportedEntry> image = donor.Export();
   ASSERT_EQ(image.size(), 2u);
   // Canonical order: (universe, pair) ascending, lo < hi.

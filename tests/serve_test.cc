@@ -199,7 +199,7 @@ TEST(AsyncPlatformTest, ServedQueryMatchesPrivateRun) {
   crowd::CrowdPlatform direct(dataset.get(), /*seed=*/123);
   const core::TopKResult expected = algorithm.Run(&direct, 5);
 
-  BatchScheduler scheduler(ReliableCrowd(), /*seed=*/999, nullptr);
+  BatchScheduler scheduler(ReliableCrowd(), /*seed=*/999);
   core::TopKResult served;
   int64_t served_microtasks = 0;
   int64_t served_rounds = 0;
@@ -229,7 +229,6 @@ TEST(SchedulerTest, FairnessUnderSaturation) {
   options.schedule.crowd_workers = 20;   // demand: 4 queries x 10 = 40
   options.schedule.per_pair_batch = 10;
   options.max_inflight = 4;
-  options.jobs = 1;
 
   std::vector<QueryRequest> requests(4);
   for (QueryRequest& request : requests) {
@@ -269,7 +268,6 @@ TEST(QueryServiceTest, ThousandsOfQueriesInFlight) {
   options.schedule.crowd_workers = 2 * kQueries;
   options.schedule.deadline_seconds = 3600.0;
   options.max_inflight = kQueries;
-  options.jobs = 1;
 
   std::vector<QueryRequest> requests(kQueries);
   for (QueryRequest& request : requests) {
@@ -302,7 +300,6 @@ TEST(SchedulerTest, ExpiredAssignmentsAreRequeued) {
   ServeOptions options;
   options.schedule.abandon_probability = 0.5;
   options.schedule.max_attempts = 16;
-  options.jobs = 1;
 
   std::vector<QueryRequest> requests(2);
   for (QueryRequest& request : requests) {
@@ -339,7 +336,6 @@ TEST(SchedulerTest, BoundedRetriesFailTheQuery) {
   ServeOptions options;
   options.schedule.abandon_probability = 1.0;
   options.schedule.max_attempts = 2;
-  options.jobs = 1;
 
   std::vector<QueryRequest> requests(1);
   requests[0].algorithm = &algorithm;
@@ -372,7 +368,6 @@ TEST(SchedulerTest, NoShowFaultsExpireRequeueAndRecover) {
   options.schedule = ReliableCrowd();  // isolate the no-show fault
   options.schedule.no_show_probability = fault::NoShowProbability(plan);
   options.schedule.max_attempts = 16;
-  options.jobs = 1;
 
   std::vector<QueryRequest> requests(2);
   for (QueryRequest& request : requests) {
@@ -411,7 +406,6 @@ TEST(SchedulerTest, AllNoShowCrowdFailsBoundedWithoutStalling) {
   options.schedule.no_show_probability = 1.0;
   options.schedule.max_attempts = 3;
   options.schedule.deadline_seconds = 60.0;
-  options.jobs = 1;
 
   std::vector<QueryRequest> requests(1);
   requests[0].algorithm = &algorithm;
@@ -442,7 +436,6 @@ TEST(QueryServiceTest, AdmissionQueueOverflowRejects) {
   options.schedule = ReliableCrowd();
   options.max_inflight = 1;
   options.max_queue = 0;
-  options.jobs = 1;
 
   std::vector<QueryRequest> requests(2);
   for (QueryRequest& request : requests) {
@@ -466,9 +459,10 @@ TEST(QueryServiceTest, AdmissionQueueOverflowRejects) {
 }
 
 // The determinism contract of the whole layer: same options + seed + trace
-// => bit-identical rendered report and per-query table for any worker
-// count, stragglers included.
-TEST(QueryServiceTest, ReportBitIdenticalAcrossJobs) {
+// => bit-identical rendered report and per-query table on two fresh
+// services, stragglers included — no state leaks from one replay into the
+// next, and nothing depends on pointer or heap order.
+TEST(QueryServiceTest, ReportBitIdenticalAcrossRepeatedReplays) {
   const auto dataset = data::MakeUniformLadder(16, 1.0, 0.8);
   judgment::ComparisonOptions comparison;
   baselines::HeapSortTopK heap(comparison);
@@ -485,12 +479,10 @@ TEST(QueryServiceTest, ReportBitIdenticalAcrossJobs) {
 
   std::string rendered[2];
   std::string tables[2];
-  const int64_t jobs[] = {1, 8};
   for (int v = 0; v < 2; ++v) {
     ServeOptions options;
     options.schedule.abandon_probability = 0.1;  // exercise requeues too
     options.max_inflight = 4;
-    options.jobs = jobs[v];
     options.seed = 77;
     QueryService service(options);
     const std::vector<QueryOutcome> outcomes =
@@ -558,7 +550,6 @@ TEST(ReportTest, JsonlMatchesGoldenFile) {
     options.max_queue = config.max_queue;  // narrow: force REJECTED rows
     options.cache.enabled = config.cache;
     options.cache.transitivity = config.cache;
-    options.jobs = 1;
     options.seed = 2017;
     QueryService service(options);
     const std::vector<QueryOutcome> outcomes =

@@ -63,13 +63,12 @@ struct Workload {
   }
 };
 
-LocalShardBackend::Options BackendOptions(int64_t jobs = 1) {
+LocalShardBackend::Options BackendOptions() {
   LocalShardBackend::Options options;
   options.seed = kSeed;
   options.schedule.crowd_workers = 16;
   options.schedule.per_pair_batch = 4;
   options.max_inflight = 4;
-  options.jobs = jobs;
   return options;
 }
 
@@ -172,16 +171,6 @@ TEST(ShardRouterTest, MergedTableIdenticalAcrossShardCountsAndPolicies) {
     }
   }
   EXPECT_NE(reference.find("gid,dataset,algo"), std::string::npos);
-}
-
-TEST(ShardRouterTest, MergedTableIdenticalAcrossJobs) {
-  const Workload workload;
-  RouterOptions options;
-  ShardRouter narrow(options, MakeShards(3, BackendOptions(1)));
-  ShardRouter wide(options, MakeShards(3, BackendOptions(8)));
-  const std::string a = RenderMergedTable(narrow.RouteBatch(workload.Trace(8)));
-  const std::string b = RenderMergedTable(wide.RouteBatch(workload.Trace(8)));
-  EXPECT_EQ(a, b) << "per-shard jobs count leaked into the merged table";
 }
 
 // ----- failover ------------------------------------------------------------

@@ -67,13 +67,11 @@ TEST(ChaosSpecTest, NormalizeClampsHandEditedEpisodes) {
   wild.items = 100000;
   wild.k = 100001;  // must end up below items after both clamps
   wild.queries = -3;
-  wild.jobs_b = 0;
   const Episode clamped = NormalizeEpisode(wild);
   EXPECT_LE(clamped.items, 64);
   EXPECT_GE(clamped.k, 1);
   EXPECT_LT(clamped.k, clamped.items);
   EXPECT_GE(clamped.queries, 1);
-  EXPECT_GE(clamped.jobs_b, 1);
 }
 
 // ----- loopback wire transport --------------------------------------------
@@ -315,11 +313,11 @@ TEST(SimNetTest, IdleTimeoutFiresOnSimulatedTimeOnly) {
 
 TEST(SimMutationTest, SeedDriftIsCaught) {
   Episode e = DeriveEpisode(1);
-  e.mutation = "seed-drift";  // jobs_b replays under a perturbed seed
+  e.mutation = "seed-drift";  // the repeat replay runs under a drifted seed
   const std::vector<Violation> violations =
       RunEpisode(e, Scratch("mut_drift"));
   ASSERT_FALSE(violations.empty());
-  EXPECT_EQ(violations[0].invariant, "jobs-bit-identity");
+  EXPECT_EQ(violations[0].invariant, "repeat-bit-identity");
 }
 
 TEST(SimMutationTest, WireFlipIsCaught) {
@@ -353,7 +351,7 @@ TEST(SimMutationTest, ShrinkKeepsFailureAndNeverGrows) {
   std::vector<Violation> violations;
   const Episode minimal = ShrinkEpisode(e, Scratch("shrink"), &violations);
   ASSERT_FALSE(violations.empty());
-  EXPECT_EQ(violations[0].invariant, "jobs-bit-identity");
+  EXPECT_EQ(violations[0].invariant, "repeat-bit-identity");
   EXPECT_LE(minimal.queries, e.queries);
   EXPECT_LE(minimal.items, e.items);
   EXPECT_EQ(minimal.mutation, "seed-drift");  // the bug is not shrunk away

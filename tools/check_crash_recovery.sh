@@ -6,7 +6,8 @@
 # a reference report, then re-run with CROWDTOPK_PERSIST_KILL_BARRIER so
 # the process _Exit(137)s right after a WAL batch lands, and --resume it.
 # The resumed run's machine-readable report must byte-match the reference
-# for CROWDTOPK_JOBS=1 and =8 (resume may even switch worker counts).
+# for two kill barriers: a late one (long durable prefix, short live tail)
+# and an early one (short prefix, most of the run re-executed live).
 #
 # Job 2 — corrupted WAL tail: flip a byte near the tail of the newest
 # surviving segment before resuming. The resume must exit 0 (graceful
@@ -24,35 +25,37 @@ work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
 queries=12
-kill_barrier=40
 
-run_serve() {  # run_serve <jobs> <report> <persist_dir> [extra args...]
-  local jobs="$1" report="$2" dir="$3"; shift 3
+run_serve() {  # run_serve <report> <persist_dir> [extra args...]
+  local report="$1" dir="$2"; shift 2
   env CROWDTOPK_SERVE_QUERIES="$queries" CROWDTOPK_CACHE=1 \
-      CROWDTOPK_JOBS="$jobs" CROWDTOPK_SERVE_REPORT="$report" \
+      CROWDTOPK_SERVE_REPORT="$report" \
       CROWDTOPK_PERSIST_DIR="$dir" "$serve" "$@"
 }
 
-echo "== reference run (no persistence) =="
-env CROWDTOPK_SERVE_QUERIES="$queries" CROWDTOPK_CACHE=1 CROWDTOPK_JOBS=4 \
-    CROWDTOPK_SERVE_REPORT="$work/reference.jsonl" \
-    "$serve" > /dev/null
-
-for jobs in 1 8; do
-  echo "== kill at barrier $kill_barrier + resume, jobs=$jobs =="
-  dir="$work/persist_j$jobs"
-  status=0
+kill_serve() {  # kill_serve <persist_dir> <barrier>: must _Exit(137)
+  local status=0
   env CROWDTOPK_SERVE_QUERIES="$queries" CROWDTOPK_CACHE=1 \
-      CROWDTOPK_JOBS="$jobs" CROWDTOPK_PERSIST_DIR="$dir" \
-      CROWDTOPK_PERSIST_KILL_BARRIER="$kill_barrier" \
+      CROWDTOPK_PERSIST_DIR="$1" CROWDTOPK_PERSIST_KILL_BARRIER="$2" \
       "$serve" > /dev/null 2>&1 || status=$?
   if [ "$status" -ne 137 ]; then
     echo "FAIL: kill run exited $status, expected 137"; exit 1
   fi
-  run_serve "$jobs" "$work/resumed_j$jobs.jsonl" "$dir" --resume > /dev/null
-  if ! cmp -s "$work/reference.jsonl" "$work/resumed_j$jobs.jsonl"; then
-    echo "FAIL: resumed report (jobs=$jobs) differs from reference"
-    diff "$work/reference.jsonl" "$work/resumed_j$jobs.jsonl" | head -5
+}
+
+echo "== reference run (no persistence) =="
+env CROWDTOPK_SERVE_QUERIES="$queries" CROWDTOPK_CACHE=1 \
+    CROWDTOPK_SERVE_REPORT="$work/reference.jsonl" \
+    "$serve" > /dev/null
+
+for kill_barrier in 40 15; do
+  echo "== kill at barrier $kill_barrier + resume =="
+  dir="$work/persist_k$kill_barrier"
+  kill_serve "$dir" "$kill_barrier"
+  run_serve "$work/resumed_k$kill_barrier.jsonl" "$dir" --resume > /dev/null
+  if ! cmp -s "$work/reference.jsonl" "$work/resumed_k$kill_barrier.jsonl"; then
+    echo "FAIL: resumed report (kill at $kill_barrier) differs from reference"
+    diff "$work/reference.jsonl" "$work/resumed_k$kill_barrier.jsonl" | head -5
     exit 1
   fi
   echo "   OK: resumed report byte-identical"
@@ -60,19 +63,14 @@ done
 
 echo "== corrupted WAL tail degrades gracefully =="
 dir="$work/persist_corrupt"
-status=0
-env CROWDTOPK_SERVE_QUERIES="$queries" CROWDTOPK_CACHE=1 \
-    CROWDTOPK_JOBS=1 CROWDTOPK_PERSIST_DIR="$dir" \
-    CROWDTOPK_PERSIST_KILL_BARRIER="$kill_barrier" \
-    "$serve" > /dev/null 2>&1 || status=$?
-[ "$status" -eq 137 ] || { echo "FAIL: kill run exited $status"; exit 1; }
+kill_serve "$dir" 40
 
 segment="$(ls "$dir"/wal-*.log | sort | tail -1)"
 size="$(stat -c%s "$segment")"
 printf '\xff' | dd of="$segment" bs=1 seek=$((size - 3)) conv=notrunc 2>/dev/null
 echo "   corrupted tail byte of $(basename "$segment")"
 
-run_serve 8 "$work/resumed_corrupt.jsonl" "$dir" --resume \
+run_serve "$work/resumed_corrupt.jsonl" "$dir" --resume \
   > "$work/corrupt_stdout.txt" 2> "$work/corrupt_stderr.txt"
 if ! cmp -s "$work/reference.jsonl" "$work/resumed_corrupt.jsonl"; then
   echo "FAIL: post-corruption resume differs from reference"; exit 1

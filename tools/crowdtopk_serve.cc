@@ -21,7 +21,6 @@
 // with deterministic re-execution — file a bug).
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -31,6 +30,7 @@
 #include "baselines/quick_select.h"
 #include "baselines/tournament_tree.h"
 #include "core/spr.h"
+#include "crowd_knobs.h"
 #include "data/generators.h"
 #include "persist/recovery.h"
 #include "serve/arrival.h"
@@ -48,12 +48,12 @@ constexpr char kHelp[] = R"(crowdtopk_serve [--help] [--resume | --warm]
 
 Replays a seeded open-loop trace of concurrent top-k queries against the
 shared-capacity serving layer and prints a deterministic report (byte-
-identical for every CROWDTOPK_JOBS value).
+identical for every run with the same knobs).
 
 Modes
   --resume  recover CROWDTOPK_PERSIST_DIR (snapshot + WAL) and re-execute
             as verified catch-up; requires the same knobs as the original
-            run (jobs may differ)
+            run
   --warm    preload the judgment cache from the newest snapshot in
             CROWDTOPK_PERSIST_DIR, then serve the trace as a fresh run
 
@@ -95,7 +95,6 @@ Output knobs
   CROWDTOPK_SERVE_REPORT    path for the machine-readable JSONL report
                             (summary + per-query records); empty = none
   CROWDTOPK_SEED            master seed                (default 20170514)
-  CROWDTOPK_JOBS            wave-simulation threads, 0 = hw   (default 1)
   CROWDTOPK_TRACE=1, CROWDTOPK_TRACE_DIR  per-query telemetry traces
                             (docs/OBSERVABILITY.md)
 
@@ -138,17 +137,6 @@ std::unique_ptr<core::TopKAlgorithm> MakeAlgorithm(
   return nullptr;
 }
 
-// An out-of-range knob is a usage error: name the variable and let main
-// exit 2 instead of tripping a library CHECK.
-bool KnobOk(bool ok, const char* name, const char* requirement) {
-  if (!ok) {
-    const char* raw = std::getenv(name);
-    std::fprintf(stderr, "%s=%s is out of range: must be %s\n", name,
-                 raw != nullptr ? raw : "", requirement);
-  }
-  return ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -184,18 +172,7 @@ int main(int argc, char** argv) {
   const uint64_t seed = util::BenchSeed();
 
   serve::ServeOptions options;
-  options.schedule.crowd_workers =
-      util::GetEnvInt64("CROWDTOPK_SERVE_WORKERS", 100);
-  options.schedule.per_pair_batch = util::GetEnvInt64("CROWDTOPK_SERVE_ETA", 30);
-  options.schedule.deadline_seconds =
-      util::GetEnvDouble("CROWDTOPK_SERVE_DEADLINE", 60.0);
-  options.schedule.abandon_probability =
-      util::GetEnvDouble("CROWDTOPK_SERVE_ABANDON", 0.03);
-  options.schedule.max_attempts =
-      util::GetEnvInt64("CROWDTOPK_SERVE_ATTEMPTS", 4);
-  options.max_inflight = util::GetEnvInt64("CROWDTOPK_SERVE_INFLIGHT", 16);
   options.max_queue = util::GetEnvInt64("CROWDTOPK_SERVE_QUEUE", -1);
-  options.jobs = util::BenchJobs();
   options.seed = seed;
   if (util::TraceEnabled()) options.trace_dir = util::TraceDir();
   options.cache.enabled = util::CacheEnabled();
@@ -211,24 +188,15 @@ int main(int argc, char** argv) {
   judgment::ComparisonOptions comparison;
   comparison.alpha = util::GetEnvDouble("CROWDTOPK_SERVE_ALPHA", 0.02);
 
-  const serve::ScheduleOptions& schedule = options.schedule;
+  // An out-of-range knob is a usage error: exit 2 naming the variable
+  // instead of tripping a library CHECK.
+  using tools::KnobOk;
   if (!(KnobOk(queries >= 0, "CROWDTOPK_SERVE_QUERIES", ">= 0") &&
         KnobOk(rate > 0.0, "CROWDTOPK_SERVE_RATE", "> 0") &&
         KnobOk(k >= 1, "CROWDTOPK_SERVE_K", ">= 1") &&
         KnobOk(comparison.alpha > 0.0 && comparison.alpha < 1.0,
                "CROWDTOPK_SERVE_ALPHA", "in (0, 1)") &&
-        KnobOk(schedule.crowd_workers >= 1, "CROWDTOPK_SERVE_WORKERS",
-               ">= 1") &&
-        KnobOk(schedule.per_pair_batch >= 1, "CROWDTOPK_SERVE_ETA", ">= 1") &&
-        KnobOk(options.max_inflight >= 1, "CROWDTOPK_SERVE_INFLIGHT",
-               ">= 1") &&
-        KnobOk(schedule.deadline_seconds > 0.0, "CROWDTOPK_SERVE_DEADLINE",
-               "> 0") &&
-        KnobOk(schedule.abandon_probability >= 0.0 &&
-                   schedule.abandon_probability <= 1.0,
-               "CROWDTOPK_SERVE_ABANDON", "in [0, 1]") &&
-        KnobOk(schedule.max_attempts >= 1, "CROWDTOPK_SERVE_ATTEMPTS",
-               ">= 1"))) {
+        tools::ReadCrowdKnobs(&options.schedule, &options.max_inflight))) {
     return 2;
   }
 
@@ -291,8 +259,7 @@ int main(int argc, char** argv) {
       static_cast<long long>(options.schedule.max_attempts),
       static_cast<long long>(options.max_inflight),
       static_cast<long long>(options.max_queue));
-  std::printf("seed=%llu (report is bit-identical for any CROWDTOPK_JOBS)\n\n",
-              static_cast<unsigned long long>(seed));
+  std::printf("seed=%llu\n\n", static_cast<unsigned long long>(seed));
 
   serve::QueryService service(options);
   const std::vector<serve::QueryOutcome> outcomes =

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "crowd_knobs.h"
 #include "net/server.h"
 #include "util/env.h"
 
@@ -48,11 +49,10 @@ Engine knobs (same meaning as crowdtopk_serve)
                             cross-query judgment cache; committed entries
                             chain across batches
   CROWDTOPK_SEED            master seed                (default 20170514)
-  CROWDTOPK_JOBS            wave-simulation threads, 0 = hw   (default 1)
   CROWDTOPK_TRACE=1, CROWDTOPK_TRACE_DIR  net/* telemetry counters
                             (net_server.trace.jsonl on exit)
 
-Exit codes: 0 clean drain, 2 startup failure.
+Exit codes: 0 clean drain, 2 out-of-range knob or startup failure.
 )";
 
 net::Server* g_server = nullptr;
@@ -83,18 +83,11 @@ int main(int argc, char** argv) {
   options.drain_timeout_ms = util::NetDrainTimeoutMs();
   options.max_queue = util::GetEnvInt64("CROWDTOPK_NET_MAX_QUEUE", 256);
   options.seed = util::BenchSeed();
-  options.schedule.crowd_workers =
-      util::GetEnvInt64("CROWDTOPK_SERVE_WORKERS", 100);
-  options.schedule.per_pair_batch =
-      util::GetEnvInt64("CROWDTOPK_SERVE_ETA", 30);
-  options.schedule.deadline_seconds =
-      util::GetEnvDouble("CROWDTOPK_SERVE_DEADLINE", 60.0);
-  options.schedule.abandon_probability =
-      util::GetEnvDouble("CROWDTOPK_SERVE_ABANDON", 0.03);
-  options.schedule.max_attempts =
-      util::GetEnvInt64("CROWDTOPK_SERVE_ATTEMPTS", 4);
-  options.max_inflight = util::GetEnvInt64("CROWDTOPK_SERVE_INFLIGHT", 16);
-  options.jobs = util::BenchJobs();
+  // Out-of-range crowd knobs are usage errors, caught before the port is
+  // bound rather than by a CHECK when the first batch runs.
+  if (!tools::ReadCrowdKnobs(&options.schedule, &options.max_inflight)) {
+    return 2;
+  }
   options.cache.enabled = util::CacheEnabled();
   options.cache.capacity = util::CacheCapacity();
   options.cache.transitivity = util::CacheTransitivity();
