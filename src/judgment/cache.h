@@ -16,7 +16,6 @@
 #define CROWDTOPK_JUDGMENT_CACHE_H_
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 
 #include "cache/cache_client.h"
@@ -87,7 +86,9 @@ class ComparisonCache {
 
   ComparisonOptions options_;
   stats::TCriticalCache t_cache_;
-  std::unordered_map<uint64_t, std::unique_ptr<ComparisonSession>> sessions_;
+  // Sessions by value: node-based, so &it->second (what GetSession hands
+  // out) stays valid across rehashes.
+  std::unordered_map<uint64_t, ComparisonSession> sessions_;
   cache::CacheClient* shared_ = nullptr;      // optional, not owned
   telemetry::TraceRecorder* recorder_ = nullptr;  // optional, not owned
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "stats/anytime.h"
 #include "stats/hoeffding.h"
@@ -78,15 +79,18 @@ void ComparisonSession::Purchase(crowd::CrowdPlatform* platform,
   if (recorder != nullptr) {
     recorder->SetPurchaseIteration(purchase_iterations_);
   }
-  scratch_.clear();
+  // A local buffer, not a member: a session outlives its purchases by the
+  // rest of the query, and thousands are alive at once when serving.
+  std::vector<double> judgments;
+  judgments.reserve(static_cast<size_t>(count));
   if (options_->estimator == Estimator::kHoeffding) {
-    platform->CollectBinaryVotes(left_, right_, count, &scratch_);
+    platform->CollectBinaryVotes(left_, right_, count, &judgments);
   } else {
-    platform->CollectPreferences(left_, right_, count, &scratch_);
+    platform->CollectPreferences(left_, right_, count, &judgments);
   }
   if (recorder != nullptr) recorder->SetPurchaseIteration(-1);
   ++purchase_iterations_;
-  for (double v : scratch_) bag_.Add(v);
+  for (double v : judgments) bag_.Add(v);
 }
 
 void ComparisonSession::AddSampleForTest(double value) {

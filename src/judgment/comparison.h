@@ -192,7 +192,6 @@ class ComparisonSession {
   ComparisonOutcome outcome_ = ComparisonOutcome::kTie;
   int64_t purchase_iterations_ = 0;
   int64_t seeded_count_ = 0;
-  std::vector<double> scratch_;  // reused purchase buffer
 };
 
 // Convenience wrapper: runs a fresh COMP(i, j) to completion.

@@ -1,5 +1,6 @@
 #include "serve/assignment_tracker.h"
 
+#include <map>
 #include <tuple>
 
 #include "util/check.h"
@@ -11,9 +12,10 @@ AssignmentTracker::AssignmentTracker(int64_t max_attempts)
   CROWDTOPK_CHECK_GE(max_attempts, 1);
 }
 
-void AssignmentTracker::Enqueue(const Assignment& assignment) {
-  CROWDTOPK_CHECK_EQ(assignment.attempt, 0);
-  pending_[assignment.query_id].push_back(assignment);
+void AssignmentTracker::Enqueue(const Assignment& first, int64_t count) {
+  CROWDTOPK_CHECK_EQ(first.attempt, 0);
+  CROWDTOPK_CHECK_GE(count, 1);
+  pending_[first.query_id].push_back({first, count});
 }
 
 std::vector<Assignment> AssignmentTracker::TakeWave(int64_t rotation,
@@ -21,40 +23,44 @@ std::vector<Assignment> AssignmentTracker::TakeWave(int64_t rotation,
                                                     int64_t per_pair_cap) {
   CROWDTOPK_CHECK_GE(per_pair_cap, 1);
   std::vector<Assignment> wave;
-  if (capacity <= 0) return wave;
+  if (capacity <= 0 || pending_.empty()) return wave;
 
-  std::vector<int64_t> queries;
-  queries.reserve(pending_.size());
-  for (const auto& [query, fifo] : pending_) {
-    if (!fifo.empty()) queries.push_back(query);
-  }
-  if (queries.empty()) return wave;
+  // Every FIFO in pending_ has work; node pointers stay valid until the
+  // emptied ones are erased below.
+  std::vector<std::deque<Run>*> fifos;
+  fifos.reserve(pending_.size());
+  for (auto& [query, fifo] : pending_) fifos.push_back(&fifo);
 
   // (query, i, j) -> assignments taken this wave; enforces the eta cap.
   std::map<std::tuple<int64_t, crowd::ItemId, crowd::ItemId>, int64_t> taken;
-  const int64_t start =
-      rotation % static_cast<int64_t>(queries.size());
+  const size_t start = static_cast<size_t>(
+      rotation % static_cast<int64_t>(fifos.size()));
   bool progress = true;
   while (static_cast<int64_t>(wave.size()) < capacity && progress) {
     progress = false;
     for (size_t s = 0;
-         s < queries.size() && static_cast<int64_t>(wave.size()) < capacity;
+         s < fifos.size() && static_cast<int64_t>(wave.size()) < capacity;
          ++s) {
-      const int64_t query =
-          queries[(static_cast<size_t>(start) + s) % queries.size()];
-      std::deque<Assignment>& fifo = pending_[query];
+      std::deque<Run>& fifo = *fifos[(start + s) % fifos.size()];
       if (fifo.empty()) continue;
-      const Assignment& head = fifo.front();
-      auto& pair_count = taken[{head.query_id, head.item_i, head.item_j}];
+      Run& head = fifo.front();
+      auto& pair_count =
+          taken[{head.next.query_id, head.next.item_i, head.next.item_j}];
       // The head's pair already has eta tasks in flight this round; the
       // query sits out this pass (its FIFO order must be preserved).
       if (pair_count >= per_pair_cap) continue;
       ++pair_count;
-      wave.push_back(head);
-      fifo.pop_front();
+      wave.push_back(head.next);
+      if (--head.remaining == 0) {
+        fifo.pop_front();
+      } else {
+        ++head.next.task_index;
+      }
       progress = true;
     }
   }
+  std::erase_if(pending_,
+                [](const auto& entry) { return entry.second.empty(); });
   stats_.scheduled += static_cast<int64_t>(wave.size());
   return wave;
 }
@@ -74,7 +80,7 @@ AssignmentTracker::Resolution AssignmentTracker::Resolve(
   ++retry.attempt;
   // Retries jump the queue so a straggling microtask cannot be pushed back
   // indefinitely by fresh purchases from its own query.
-  pending_[retry.query_id].push_front(retry);
+  pending_[retry.query_id].push_front({retry, 1});
   ++stats_.requeued;
   return Resolution::kRequeued;
 }

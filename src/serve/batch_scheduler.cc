@@ -67,14 +67,13 @@ void BatchScheduler::PostPurchase(int64_t query_id, crowd::ItemId i,
   QueryState& q = queries_.at(query_id);
   CROWDTOPK_CHECK(q.fiber != nullptr);
   const int64_t request_seq = q.next_request_seq++;
-  for (int64_t t = 0; t < count; ++t) {
-    tracker_.Enqueue({.query_id = query_id,
-                      .seed_stream = q.seed_stream,
-                      .request_seq = request_seq,
-                      .task_index = t,
-                      .item_i = i,
-                      .item_j = j});
-  }
+  tracker_.Enqueue({.query_id = query_id,
+                    .seed_stream = q.seed_stream,
+                    .request_seq = request_seq,
+                    .task_index = 0,
+                    .item_i = i,
+                    .item_j = j},
+                   count);
   q.posted += count;
 }
 

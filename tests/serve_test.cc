@@ -1,9 +1,9 @@
 // Tests for the multi-query serving layer (src/serve): the fibers queries
-// run on, sync-algorithm equivalence through the AsyncPlatform bridge,
-// scheduler fairness under saturation, straggler requeueing and
-// bounded-retry failure, admission overflow, a replay with thousands of
-// queries in flight, and bit-identity of the serve report across worker
-// counts.
+// run on, the AssignmentTracker's wave order, sync-algorithm equivalence
+// through the AsyncPlatform bridge, scheduler fairness under saturation,
+// straggler requeueing and bounded-retry failure, admission overflow, a
+// replay with thousands of queries in flight, and bit-identity of the serve
+// report across repeated replays.
 
 #include <algorithm>
 #include <cstdlib>
@@ -22,6 +22,7 @@
 #include "gtest/gtest.h"
 #include "judgment/comparison.h"
 #include "serve/arrival.h"
+#include "serve/assignment_tracker.h"
 #include "serve/async_platform.h"
 #include "serve/batch_scheduler.h"
 #include "serve/fiber.h"
@@ -183,6 +184,157 @@ TEST(FiberTest, ThreadsStepTheirOwnFibersConcurrently) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(sums[t], int64_t{kFibers} * kSteps * (t + 1));
   }
+}
+
+// ----- assignment tracker ------------------------------------------------------
+
+// Registers purchase `request_seq` of query `query`: `count` microtasks on
+// pair (i, j), task indices 0..count-1.
+void EnqueuePurchase(AssignmentTracker* tracker, int64_t query,
+                     int64_t request_seq, crowd::ItemId i, crowd::ItemId j,
+                     int64_t count) {
+  tracker->Enqueue({.query_id = query,
+                    .seed_stream = query,
+                    .request_seq = request_seq,
+                    .task_index = 0,
+                    .item_i = i,
+                    .item_j = j},
+                   count);
+}
+
+// "q<query> r<request_seq> t<task_index> a<attempt>" per wave entry.
+std::vector<std::string> Tags(const std::vector<Assignment>& wave) {
+  std::vector<std::string> tags;
+  for (const Assignment& a : wave) {
+    tags.push_back("q" + std::to_string(a.query_id) + " r" +
+                   std::to_string(a.request_seq) + " t" +
+                   std::to_string(a.task_index) + " a" +
+                   std::to_string(a.attempt));
+  }
+  return tags;
+}
+
+void ExpectStats(const AssignmentStats& stats, int64_t scheduled,
+                 int64_t completed, int64_t expired, int64_t requeued,
+                 int64_t failed) {
+  EXPECT_EQ(stats.scheduled, scheduled);
+  EXPECT_EQ(stats.completed, completed);
+  EXPECT_EQ(stats.expired, expired);
+  EXPECT_EQ(stats.requeued, requeued);
+  EXPECT_EQ(stats.failed, failed);
+}
+
+using Tagged = std::vector<std::string>;
+
+// The eta cap is per (query, pair): once a query's head pair has
+// per_pair_cap tasks in the wave, that query sits out the remaining passes
+// — even with other work queued behind the head — and resumes from exactly
+// that head in the next wave. Another query on the same pair is not capped
+// by it.
+TEST(AssignmentTrackerTest, EtaCapBenchesQueryAndKeepsFifoOrder) {
+  AssignmentTracker tracker(/*max_attempts=*/4);
+  EnqueuePurchase(&tracker, /*query=*/1, /*request_seq=*/0, 0, 1, 3);
+  EnqueuePurchase(&tracker, /*query=*/1, /*request_seq=*/1, 2, 3, 2);
+  EnqueuePurchase(&tracker, /*query=*/2, /*request_seq=*/0, 0, 1, 4);
+
+  EXPECT_EQ(Tags(tracker.TakeWave(/*rotation=*/0, /*capacity=*/100,
+                                  /*per_pair_cap=*/2)),
+            (Tagged{"q1 r0 t0 a0", "q2 r0 t0 a0", "q1 r0 t1 a0",
+                    "q2 r0 t1 a0"}));
+  // Rotation 1 over two active queries starts at query 2.
+  EXPECT_EQ(Tags(tracker.TakeWave(1, 100, 2)),
+            (Tagged{"q2 r0 t2 a0", "q1 r0 t2 a0", "q2 r0 t3 a0",
+                    "q1 r1 t0 a0", "q1 r1 t1 a0"}));
+  EXPECT_TRUE(tracker.TakeWave(2, 100, 2).empty());
+  ExpectStats(tracker.stats(), /*scheduled=*/9, 0, 0, 0, 0);
+}
+
+// The first query served is `rotation % active queries`, counting only
+// queries with pending work, in ascending id order; the capacity can cut a
+// pass short.
+TEST(AssignmentTrackerTest, RotationPicksTheStartingQuery) {
+  AssignmentTracker tracker(/*max_attempts=*/4);
+  for (const int64_t query : {30, 10, 20}) {
+    EnqueuePurchase(&tracker, query, /*request_seq=*/0, 0, 1, 2);
+  }
+  // 7 % 3 == 1: query 20 first.
+  EXPECT_EQ(Tags(tracker.TakeWave(/*rotation=*/7, /*capacity=*/4,
+                                  /*per_pair_cap=*/30)),
+            (Tagged{"q20 r0 t0 a0", "q30 r0 t0 a0", "q10 r0 t0 a0",
+                    "q20 r0 t1 a0"}));
+  // Query 20 has nothing left: 9 % 2 == 1 picks query 30 of {10, 30}.
+  EXPECT_EQ(Tags(tracker.TakeWave(9, 4, 30)),
+            (Tagged{"q30 r0 t1 a0", "q10 r0 t1 a0"}));
+  ExpectStats(tracker.stats(), /*scheduled=*/6, 0, 0, 0, 0);
+}
+
+// Each expired assignment goes back to the front of its query's FIFO as it
+// is resolved, so the last one resolved is dispatched first, and every
+// retry precedes the purchase's untouched tasks.
+TEST(AssignmentTrackerTest, RetriesJumpTheQueueInResolveOrder) {
+  AssignmentTracker tracker(/*max_attempts=*/4);
+  EnqueuePurchase(&tracker, /*query=*/1, /*request_seq=*/0, 0, 1, 4);
+  const std::vector<Assignment> wave =
+      tracker.TakeWave(/*rotation=*/0, /*capacity=*/3, /*per_pair_cap=*/30);
+  ASSERT_EQ(Tags(wave),
+            (Tagged{"q1 r0 t0 a0", "q1 r0 t1 a0", "q1 r0 t2 a0"}));
+  EXPECT_EQ(tracker.Resolve(wave[0], /*expired=*/true),
+            AssignmentTracker::Resolution::kRequeued);
+  EXPECT_EQ(tracker.Resolve(wave[1], /*expired=*/false),
+            AssignmentTracker::Resolution::kCompleted);
+  EXPECT_EQ(tracker.Resolve(wave[2], /*expired=*/true),
+            AssignmentTracker::Resolution::kRequeued);
+
+  EXPECT_EQ(Tags(tracker.TakeWave(1, 10, 30)),
+            (Tagged{"q1 r0 t2 a1", "q1 r0 t0 a1", "q1 r0 t3 a0"}));
+  ExpectStats(tracker.stats(), /*scheduled=*/6, /*completed=*/1,
+              /*expired=*/2, /*requeued=*/2, /*failed=*/0);
+}
+
+// An assignment that expires max_attempts times is dropped for good.
+TEST(AssignmentTrackerTest, FailsAfterMaxAttempts) {
+  AssignmentTracker tracker(/*max_attempts=*/2);
+  EnqueuePurchase(&tracker, /*query=*/7, /*request_seq=*/3, 4, -1, 1);
+  std::vector<Assignment> wave =
+      tracker.TakeWave(/*rotation=*/0, /*capacity=*/10, /*per_pair_cap=*/30);
+  ASSERT_EQ(Tags(wave), (Tagged{"q7 r3 t0 a0"}));
+  EXPECT_EQ(tracker.Resolve(wave[0], /*expired=*/true),
+            AssignmentTracker::Resolution::kRequeued);
+  wave = tracker.TakeWave(1, 10, 30);
+  ASSERT_EQ(Tags(wave), (Tagged{"q7 r3 t0 a1"}));
+  EXPECT_EQ(wave[0].item_j, -1);
+  EXPECT_EQ(tracker.Resolve(wave[0], /*expired=*/true),
+            AssignmentTracker::Resolution::kFailed);
+  EXPECT_TRUE(tracker.TakeWave(2, 10, 30).empty());
+  ExpectStats(tracker.stats(), /*scheduled=*/2, /*completed=*/0,
+              /*expired=*/2, /*requeued=*/1, /*failed=*/1);
+}
+
+// A purchase larger than the crowd is worked off over several waves, with
+// consecutive task indices and the purchase's identity on every task.
+TEST(AssignmentTrackerTest, PurchaseLargerThanCapacitySpansWaves) {
+  AssignmentTracker tracker(/*max_attempts=*/4);
+  EnqueuePurchase(&tracker, /*query=*/5, /*request_seq=*/2, 6, 9, 7);
+  std::vector<std::string> tags;
+  for (int64_t round = 0; round < 3; ++round) {
+    const std::vector<Assignment> wave =
+        tracker.TakeWave(round, /*capacity=*/3, /*per_pair_cap=*/30);
+    EXPECT_EQ(wave.size(), round < 2 ? 3u : 1u);
+    for (const Assignment& a : wave) {
+      EXPECT_EQ(a.seed_stream, 5);
+      EXPECT_EQ(a.item_i, 6);
+      EXPECT_EQ(a.item_j, 9);
+      EXPECT_EQ(tracker.Resolve(a, /*expired=*/false),
+                AssignmentTracker::Resolution::kCompleted);
+    }
+    const std::vector<std::string> wave_tags = Tags(wave);
+    tags.insert(tags.end(), wave_tags.begin(), wave_tags.end());
+  }
+  EXPECT_EQ(tags, (Tagged{"q5 r2 t0 a0", "q5 r2 t1 a0", "q5 r2 t2 a0",
+                          "q5 r2 t3 a0", "q5 r2 t4 a0", "q5 r2 t5 a0",
+                          "q5 r2 t6 a0"}));
+  EXPECT_TRUE(tracker.TakeWave(3, 3, 30).empty());
+  ExpectStats(tracker.stats(), /*scheduled=*/7, /*completed=*/7, 0, 0, 0);
 }
 
 // ----- scheduler and service ---------------------------------------------------

@@ -4,7 +4,8 @@
 # on a library CHECK or an uncaught exception. crowdtopk_server and
 # crowdtopk_router share the six crowd knobs with crowdtopk_serve; they must
 # refuse a bad one at startup, before printing their `listening` line, not
-# when the first query's batch trips a CHECK.
+# when the first query's batch trips a CHECK. The same holds for their own
+# CROWDTOPK_NET_MAX_CONNS: a server that admits no connection serves nobody.
 #
 # Usage: tools/check_serve_knobs.sh <build_dir>
 set -u
@@ -51,7 +52,7 @@ work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 for bin in "$server" "$router"; do
   tool="$(basename "$bin")"
-  for setting in "${crowd_knobs[@]}"; do
+  for setting in "${crowd_knobs[@]}" CROWDTOPK_NET_MAX_CONNS=0; do
     name="${setting%%=*}"
     env CROWDTOPK_NET_PORT=0 "$setting" timeout 5 "$bin" \
         > "$work/stdout" 2> "$work/stderr"

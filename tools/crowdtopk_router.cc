@@ -52,7 +52,7 @@ Sharding knobs
 
 Network knobs (same as crowdtopk_server)
   CROWDTOPK_NET_PORT             TCP port; 0 = ephemeral    (default 0)
-  CROWDTOPK_NET_MAX_CONNS        connection bound           (default 64)
+  CROWDTOPK_NET_MAX_CONNS        connection bound, >= 1     (default 64)
   CROWDTOPK_NET_IDLE_TIMEOUT_MS  idle-connection close, <=0 off (60000)
   CROWDTOPK_NET_DRAIN_TIMEOUT_MS drain budget on SIGTERM    (default 30000)
   CROWDTOPK_NET_MAX_QUEUE        admission bound, <0 = inf  (default 256)
@@ -124,9 +124,12 @@ int main(int argc, char** argv) {
   options.drain_timeout_ms = util::NetDrainTimeoutMs();
   options.max_queue = util::GetEnvInt64("CROWDTOPK_NET_MAX_QUEUE", 256);
   options.seed = util::BenchSeed();
-  // Out-of-range crowd knobs are usage errors, caught before the port is
-  // bound rather than by a CHECK when the first batch runs.
-  if (!tools::ReadCrowdKnobs(&options.schedule, &options.max_inflight)) {
+  // Out-of-range knobs are usage errors, caught before the port is bound
+  // rather than by a CHECK when the first batch runs (crowd knobs) or by
+  // refusing every connection (max_conns).
+  if (!tools::KnobOk(options.max_connections >= 1, "CROWDTOPK_NET_MAX_CONNS",
+                     ">= 1") ||
+      !tools::ReadCrowdKnobs(&options.schedule, &options.max_inflight)) {
     return 2;
   }
   options.cache.enabled = util::CacheEnabled();
