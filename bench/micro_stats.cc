@@ -64,6 +64,21 @@ void BM_TCriticalCached(benchmark::State& state) {
 }
 BENCHMARK(BM_TCriticalCached);
 
+// What one query's comparison cache pays for its t-table: a fresh handle per
+// iteration, reading the df one comparison reads at eta = I = 30 up to
+// B = 1000 (29, 59, ..., 989, then 999 after the clipped last batch).
+// Handles onto the process-wide table find these filled.
+void BM_TCriticalFreshHandle(benchmark::State& state) {
+  for (auto _ : state) {
+    crowdtopk::stats::TCriticalCache cache(0.02);
+    for (int n = 30; n < 1000; n += 30) {
+      benchmark::DoNotOptimize(cache.Get(n - 1));
+    }
+    benchmark::DoNotOptimize(cache.Get(999));
+  }
+}
+BENCHMARK(BM_TCriticalFreshHandle);
+
 void BM_BinomialTail(benchmark::State& state) {
   int k = 0;
   for (auto _ : state) {

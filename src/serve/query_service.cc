@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <deque>
 #include <unordered_map>
+#include <utility>
 
 #include "cache/cache_client.h"
 #include "persist/format.h"
@@ -285,7 +286,8 @@ std::vector<QueryOutcome> QueryService::Replay(
     WritePersistTrace();
   }
 
-  return outcomes_;
+  // A service replays once, so nothing reads outcomes_ after this.
+  return std::move(outcomes_);
 }
 
 cache::CacheStats QueryService::cache_stats() const {

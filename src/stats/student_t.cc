@@ -1,7 +1,10 @@
 #include "stats/student_t.h"
 
+#include <array>
+#include <atomic>
 #include <cmath>
 #include <limits>
+#include <mutex>
 
 #include "stats/normal.h"
 #include "stats/special_functions.h"
@@ -49,22 +52,61 @@ double StudentTCritical(double alpha, double df) {
   return StudentTQuantile(1.0 - 0.5 * alpha, df);
 }
 
-TCriticalCache::TCriticalCache(double alpha) : alpha_(alpha) {
+struct TCriticalCache::SharedTable {
+  explicit SharedTable(double a) : alpha(a) {
+    for (std::atomic<double>& entry : entries) {
+      entry.store(std::numeric_limits<double>::quiet_NaN(),
+                  std::memory_order_relaxed);
+    }
+  }
+
+  const double alpha;
+  std::array<std::atomic<double>, kSharedDfBound> entries;  // NaN = not yet
+};
+
+TCriticalCache::TCriticalCache(double alpha)
+    : alpha_(alpha), shared_(nullptr) {
   CROWDTOPK_CHECK(alpha > 0.0 && alpha < 1.0);
-  normal_limit_ = NormalQuantile(1.0 - 0.5 * alpha);
+  // Tables live until the process exits; the mutex guards only this lookup.
+  static std::mutex mu;
+  static SharedTable* tables[kMaxSharedAlphas] = {};
+  static int num_tables = 0;
+  std::lock_guard<std::mutex> lock(mu);
+  for (int i = 0; i < num_tables; ++i) {
+    if (tables[i]->alpha == alpha) {
+      shared_ = tables[i];
+      return;
+    }
+  }
+  if (num_tables < kMaxSharedAlphas) {
+    shared_ = tables[num_tables++] = new SharedTable(alpha);
+  }
 }
 
 double TCriticalCache::Get(int64_t df) {
   CROWDTOPK_CHECK_GE(df, 1);
-  if (df > kMaxCachedDf) return normal_limit_;
-  const size_t index = static_cast<size_t>(df);
-  if (index >= cache_.size()) {
-    cache_.resize(index + 1, std::numeric_limits<double>::quiet_NaN());
+  if (shared_ != nullptr && df < kSharedDfBound) {
+    std::atomic<double>& entry = shared_->entries[static_cast<size_t>(df)];
+    double t = entry.load(std::memory_order_relaxed);
+    if (std::isnan(t)) {
+      t = StudentTCritical(alpha_, static_cast<double>(df));
+      entry.store(t, std::memory_order_relaxed);
+    }
+    return t;
   }
-  if (std::isnan(cache_[index])) {
-    cache_[index] = StudentTCritical(alpha_, static_cast<double>(df));
+  // Beyond 1e6 degrees of freedom StudentTCritical is the normal quantile.
+  if (df > kMaxCachedDf) {
+    return StudentTCritical(alpha_, static_cast<double>(df));
   }
-  return cache_[index];
+  const int64_t first = shared_ != nullptr ? kSharedDfBound : 0;
+  const size_t index = static_cast<size_t>(df - first);
+  if (index >= private_.size()) {
+    private_.resize(index + 1, std::numeric_limits<double>::quiet_NaN());
+  }
+  if (std::isnan(private_[index])) {
+    private_[index] = StudentTCritical(alpha_, static_cast<double>(df));
+  }
+  return private_[index];
 }
 
 }  // namespace crowdtopk::stats
