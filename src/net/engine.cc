@@ -10,6 +10,7 @@
 #include "core/spr.h"
 #include "data/generators.h"
 #include "serve/query_service.h"
+#include "stats/student_t.h"
 #include "util/check.h"
 #include "util/crc32.h"
 #include "util/random.h"
@@ -76,7 +77,12 @@ Engine::Engine(const ServerOptions& options, std::function<void()> wake,
       algorithm_factory_(options.algorithm_factory
                              ? options.algorithm_factory
                              : DefaultAlgorithmFactory()),
-      wake_(std::move(wake)) {}
+      wake_(std::move(wake)) {
+  // Shared t-tables are never freed and capped in number, and alpha comes
+  // from clients; registering the protocol's default alpha first keeps its
+  // table shared however many other alphas clients send.
+  stats::TCriticalCache default_alpha_table(SubmitQuery{}.alpha);
+}
 
 Engine::~Engine() { Stop(); }
 
