@@ -7,16 +7,12 @@
 //                       sweep finishes quickly)
 //   CROWDTOPK_SEED      master seed (default 20170514)
 //   CROWDTOPK_JOBS      worker threads for the repetitions of one experiment
-//                       point (exec/run_engine.h). 1 = legacy serial path,
+//                       point (exec/parallel_for.h). 1 = serial loop,
 //                       0/unset = hardware concurrency. Output tables are
 //                       bit-identical for every value: run r's seed is
 //                       util::SplitSeed(seed, r) regardless of which thread
 //                       executes it, and per-run records are reduced in run
 //                       order.
-//   CROWDTOPK_REGISTRY  JSONL journal path; completed (experiment, point,
-//                       run) records are appended there and skipped on the
-//                       next invocation, so interrupted sweeps resume.
-//   CROWDTOPK_PROGRESS  =1 reports runs/points completed on stderr.
 //   CROWDTOPK_TRACE     =1 attaches a telemetry recorder to traced runs and
 //                       writes a JSONL trace + per-phase CSV per experiment
 //                       point into CROWDTOPK_TRACE_DIR (default "."); set
@@ -36,7 +32,6 @@
 #include <vector>
 
 #include "baselines/heap_sort.h"
-#include "exec/run_engine.h"
 #include "baselines/pbr.h"
 #include "baselines/quick_select.h"
 #include "baselines/tournament_tree.h"
@@ -45,6 +40,7 @@
 #include "crowd/platform.h"
 #include "data/dataset.h"
 #include "data/generators.h"
+#include "exec/parallel_for.h"
 #include "metrics/ranking_metrics.h"
 #include "metrics/trace_aggregate.h"
 #include "telemetry/recorder.h"
@@ -77,45 +73,15 @@ struct Averages {
 
 // Monotone id distinguishing the experiment points of one bench binary
 // (each AverageRuns/AverageOver call is one point). Bench binaries execute
-// their points in a fixed order, so the id is stable across invocations —
-// which is what lets the run registry match a resumed sweep's points to the
-// interrupted one's.
+// their points in a fixed order, so the id, and with it every trace file
+// name, is stable across invocations.
 inline int64_t NextTracePointId() {
   static int64_t next = 0;
   return next++;
 }
 
-// The process-wide experiment engine, configured from the environment:
-// CROWDTOPK_JOBS worker threads, the CROWDTOPK_REGISTRY resume journal, and
-// a stderr progress reporter under CROWDTOPK_PROGRESS=1.
-inline exec::RunEngine& Engine() {
-  static exec::RunEngine* engine = [] {
-    exec::RunEngine::Options options;
-    options.jobs = util::BenchJobs();
-    const std::string registry_path = util::RegistryPath();
-    if (!registry_path.empty()) {
-      options.registry = new exec::RunRegistry(registry_path);
-    }
-    if (util::ProgressEnabled()) {
-      options.progress = [](const exec::RunKey& key, int64_t done,
-                            int64_t total) {
-        // fprintf is atomic per call, so concurrent reports interleave by
-        // whole lines at worst.
-        std::fprintf(stderr, "%s point %lld: %lld/%lld runs\r%s",
-                     key.experiment.c_str(),
-                     static_cast<long long>(key.point),
-                     static_cast<long long>(done),
-                     static_cast<long long>(total),
-                     done == total ? "\n" : "");
-      };
-    }
-    return new exec::RunEngine(options);
-  }();
-  return *engine;
-}
-
-// Runs `fn(run, run_seed)` for each repetition on the experiment engine and
-// reduces the returned records to canonical-order column means. The generic
+// Runs `fn(run, run_seed)` for each repetition on CROWDTOPK_JOBS workers and
+// reduces the returned records to run-order column means. The generic
 // entry point for benches whose per-run record is not the standard
 // Averages quadruple (wall-clock simulations, partition ablations, ...).
 // `fn` must confine its side effects to its own run; run_seed is
@@ -123,8 +89,8 @@ inline exec::RunEngine& Engine() {
 inline std::vector<double> AverageOver(
     int64_t runs, uint64_t seed,
     const std::function<std::vector<double>(int64_t, uint64_t)>& fn) {
-  return Engine().RunMean({util::ProgramName(), NextTracePointId()}, runs,
-                          seed, fn);
+  NextTracePointId();  // keeps later points' trace file names stable
+  return exec::ColumnMeans(exec::RunAll(runs, seed, util::BenchJobs(), fn));
 }
 
 // Verifies the trace agrees with the platform's own accounting, then dumps
@@ -155,28 +121,27 @@ inline void DumpTrace(const telemetry::TraceRecorder& recorder,
 }
 
 // Runs `algorithm` `runs` times on fresh platforms and averages cost,
-// latency, and quality. Repetitions are fanned out on the experiment engine
-// (CROWDTOPK_JOBS workers); run r is seeded with util::SplitSeed(seed, r) —
+// latency, and quality. Repetitions are fanned out on `jobs` workers (0 =
+// hardware concurrency); run r is seeded with util::SplitSeed(seed, r) —
 // a pure function of (seed, r), unlike the sequential seeder the serial
 // loop used to draw from, whose r-th value depended on draw order and so
 // would not survive parallel dispatch — and the per-run records are reduced
 // in run order, so the result is bit-identical for every worker count.
 // With CROWDTOPK_TRACE=1 each traced run additionally dumps a telemetry
 // trace (see DumpTrace); the recorder is created inside the run's task, so
-// it is owned by exactly one thread. `jobs_override` > 0 forces a worker
-// count for this point (tests use it to pit 8 jobs against 1).
+// it is owned by exactly one thread.
 inline Averages AverageRunsWithJobs(const data::Dataset& dataset,
                                     core::TopKAlgorithm* algorithm, int64_t k,
                                     int64_t runs, uint64_t seed,
-                                    int64_t jobs_override = 0) {
+                                    int64_t jobs) {
   const bool trace = util::TraceEnabled();
   const bool trace_all = trace && util::TraceAllRuns();
   const int64_t point = NextTracePointId();
   // Algorithms whose Run mutates the algorithm object cannot share it
   // across concurrent repetitions; fall back to the serial path for them.
-  if (!algorithm->concurrent_runs_safe()) jobs_override = 1;
-  const std::vector<double> means = Engine().RunMean(
-      {util::ProgramName(), point}, runs, seed,
+  if (!algorithm->concurrent_runs_safe()) jobs = 1;
+  const std::vector<double> means = exec::ColumnMeans(exec::RunAll(
+      runs, seed, jobs,
       [&](int64_t r, uint64_t run_seed) -> std::vector<double> {
         crowd::CrowdPlatform platform(&dataset, run_seed);
         telemetry::TraceRecorder recorder;
@@ -189,8 +154,7 @@ inline Averages AverageRunsWithJobs(const data::Dataset& dataset,
                 static_cast<double>(result.rounds),
                 metrics::Ndcg(dataset, result.items, k),
                 metrics::PrecisionAtK(dataset, result.items, k)};
-      },
-      jobs_override);
+      }));
   Averages averages;
   if (means.empty()) return averages;  // runs == 0
   averages.tmc = means[0];
@@ -203,7 +167,8 @@ inline Averages AverageRunsWithJobs(const data::Dataset& dataset,
 inline Averages AverageRuns(const data::Dataset& dataset,
                             core::TopKAlgorithm* algorithm, int64_t k,
                             int64_t runs, uint64_t seed) {
-  return AverageRunsWithJobs(dataset, algorithm, k, runs, seed);
+  return AverageRunsWithJobs(dataset, algorithm, k, runs, seed,
+                             util::BenchJobs());
 }
 
 // The four confidence-aware contenders of Sections 6.3/6.4 (SPR + the three

@@ -40,7 +40,7 @@ class CrowdBt : public core::TopKAlgorithm {
   core::TopKResult Run(crowd::CrowdPlatform* platform, int64_t k) override;
 
   // Run() publishes the fitted scores below, so concurrent repetitions on
-  // one CrowdBt object would race; the experiment engine serialises them.
+  // one CrowdBt object would race; the bench harness serialises them.
   bool concurrent_runs_safe() const override { return false; }
 
   // Fitted BTL scores of the last Run (index = item id); for analyses.

@@ -41,8 +41,8 @@ class TopKAlgorithm {
 
   // Whether concurrent Run() calls on this *same object* (each with its own
   // platform) are safe, i.e. Run never writes to algorithm state. The
-  // parallel experiment engine (exec/run_engine.h) serialises repetitions
-  // of algorithms that return false. Default true: most algorithms here
+  // parallel repetition fan-out (exec/parallel_for.h) serialises
+  // repetitions of algorithms that return false. Default true: most algorithms here
   // treat their options as read-only.
   virtual bool concurrent_runs_safe() const { return true; }
 };

@@ -2,90 +2,80 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <exception>
 #include <mutex>
+#include <thread>
+
+#include "util/check.h"
+#include "util/random.h"
 
 namespace crowdtopk::exec {
 
-namespace {
+void ParallelFor(int64_t jobs, int64_t n,
+                 const std::function<void(int64_t)>& body) {
+  const int64_t workers = std::min(jobs, n);
+  if (workers <= 1) {
+    for (int64_t i = 0; i < n; ++i) body(i);
+    return;
+  }
 
-// Shared loop state; lives on the caller's stack for the duration of the
-// ParallelFor (the caller joins all helpers before returning).
-struct LoopState {
-  std::atomic<int64_t> next;
-  int64_t end = 0;
-  const std::function<void(int64_t)>* body = nullptr;
-
-  // First-failing-index exception transport.
+  std::atomic<int64_t> next{0};
   std::mutex failure_mutex;
   int64_t failed_index = -1;
-  std::exception_ptr exception;
-
-  // Helper-task join.
-  std::mutex join_mutex;
-  std::condition_variable joined;
-  int64_t helpers_active = 0;
-
-  void RunLoop() {
+  std::exception_ptr failure;
+  const auto loop = [&] {
     for (;;) {
       const int64_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= end) return;
+      if (i >= n) return;
       try {
-        (*body)(i);
+        body(i);
       } catch (...) {
         std::lock_guard<std::mutex> lock(failure_mutex);
         if (failed_index < 0 || i < failed_index) {
           failed_index = i;
-          exception = std::current_exception();
+          failure = std::current_exception();
         }
       }
     }
-  }
-};
-
-}  // namespace
-
-void ParallelFor(ThreadPool* pool, int64_t begin, int64_t end,
-                 const std::function<void(int64_t)>& body,
-                 int64_t max_workers) {
-  if (end <= begin) return;
-  int64_t workers = pool == nullptr ? 1 : pool->num_threads();
-  if (max_workers > 0) workers = std::min(workers, max_workers);
-  workers = std::min(workers, end - begin);
-
-  if (pool == nullptr || workers <= 1) {
-    // Serial path: plain loop, zero synchronisation. Stops at the first
-    // throwing index (which is also the smallest, since indices run in
-    // order), so the escaping exception matches the parallel path's.
-    for (int64_t i = begin; i < end; ++i) body(i);
-    return;
-  }
-
-  LoopState state;
-  state.next.store(begin, std::memory_order_relaxed);
-  state.end = end;
-  state.body = &body;
-  state.helpers_active = workers - 1;  // the caller is the last executor
-
-  for (int64_t w = 0; w < workers - 1; ++w) {
-    pool->Submit([&state] {
-      state.RunLoop();
-      // Notify while still holding the mutex: the caller destroys `state`
-      // (and this condition variable) as soon as it observes zero, and it
-      // can only leave wait() after re-acquiring the mutex — i.e. after the
-      // notify below has fully completed. Notifying outside the lock would
-      // race the notify against the destructor.
-      std::lock_guard<std::mutex> lock(state.join_mutex);
-      if (--state.helpers_active == 0) state.joined.notify_all();
-    });
-  }
-  state.RunLoop();
+  };
   {
-    std::unique_lock<std::mutex> lock(state.join_mutex);
-    state.joined.wait(lock, [&state] { return state.helpers_active == 0; });
+    // jthreads join on destruction, also when starting a later one throws.
+    std::vector<std::jthread> helpers;
+    helpers.reserve(static_cast<size_t>(workers - 1));
+    for (int64_t w = 1; w < workers; ++w) helpers.emplace_back(loop);
+    loop();
   }
-  if (state.exception) std::rethrow_exception(state.exception);
+  if (failure) std::rethrow_exception(failure);
+}
+
+int64_t ResolveJobs(int64_t jobs) {
+  if (jobs > 0) return jobs;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<int64_t>(hw);
+}
+
+std::vector<std::vector<double>> RunAll(
+    int64_t runs, uint64_t seed, int64_t jobs,
+    const std::function<std::vector<double>(int64_t, uint64_t)>& task) {
+  CROWDTOPK_CHECK_GE(runs, 0);
+  std::vector<std::vector<double>> records(static_cast<size_t>(runs));
+  ParallelFor(ResolveJobs(jobs), runs, [&](int64_t r) {
+    records[static_cast<size_t>(r)] =
+        task(r, util::SplitSeed(seed, static_cast<uint64_t>(r)));
+  });
+  return records;
+}
+
+std::vector<double> ColumnMeans(
+    const std::vector<std::vector<double>>& records) {
+  if (records.empty()) return {};
+  std::vector<double> sums(records[0].size(), 0.0);
+  for (const std::vector<double>& record : records) {
+    CROWDTOPK_CHECK_EQ(record.size(), sums.size());
+    for (size_t c = 0; c < sums.size(); ++c) sums[c] += record[c];
+  }
+  for (double& s : sums) s /= static_cast<double>(records.size());
+  return sums;
 }
 
 }  // namespace crowdtopk::exec

@@ -7,7 +7,7 @@
 // reproducible: FaultInjectionOracle wraps any JudgmentOracle and routes
 // every judgment through one worker of a fixed pool whose fault profile is
 // a pure function of (fault seed, worker index) via util::Rng::Split, so a
-// verification sweep fanned out on the experiment engine sees bit-identical
+// verification sweep fanned out with exec::RunAll sees bit-identical
 // faults for every CROWDTOPK_JOBS worker count. Value-level faults live
 // here; the no-show/timeout fault (an assignment that never returns) lives
 // at the serving layer — serve::ScheduleOptions::no_show_probability,

@@ -60,6 +60,13 @@ bool DecodeCacheEntry(Decoder* dec, cache::ExportedEntry* out) {
     return false;
   }
   if (outcome < 0 || outcome > 2) return false;
+  // What JudgmentCache::RestoreEntries and a top-up seed CHECK: a restored
+  // entry must never abort the server.
+  if (out->kind != static_cast<int32_t>(cache::JudgmentKind::kPreference) &&
+      out->kind != static_cast<int32_t>(cache::JudgmentKind::kBinary)) {
+    return false;
+  }
+  if (out->lo < 0 || out->lo >= out->hi || out->entry.count < 1) return false;
   out->entry.outcome = static_cast<crowd::ComparisonOutcome>(outcome);
   out->entry.decisive = decisive != 0;
   return true;

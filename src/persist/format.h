@@ -106,7 +106,8 @@ std::string EncodeBarrier(const BarrierRecord& record);
 bool DecodeRecord(const std::string& payload, WalRecord* out);
 
 // Serialises / parses a cache entry body (shared by WAL records and the
-// snapshot's cache image).
+// snapshot's cache image). Decoding rejects an entry the cache could not
+// restore: an unknown kind, lo < 0, lo >= hi, or count < 1.
 void EncodeCacheEntry(const cache::ExportedEntry& entry, Encoder* enc);
 bool DecodeCacheEntry(Decoder* dec, cache::ExportedEntry* out);
 

@@ -9,7 +9,6 @@
 #include "baselines/quick_select.h"
 #include "baselines/tournament_tree.h"
 #include "core/spr.h"
-#include "exec/run_engine.h"
 #include "persist/format.h"
 #include "persist/wal.h"
 #include "shard/hash.h"
@@ -328,17 +327,10 @@ void CheckVerifyPreservation(const Episode& episode,
   const uint64_t seed =
       SimEnvironment(episode.seed).StreamSeed(Stream::kVerify);
 
-  exec::RunEngine::Options serial_opts;
-  serial_opts.jobs = 1;
-  exec::RunEngine serial(serial_opts);
-  exec::RunEngine::Options wide_opts;
-  wide_opts.jobs = 2;
-  exec::RunEngine wide(wide_opts);
-
   const verify::GuaranteeReport a =
-      verify::VerifyComparisonGuarantee(spec, options, &serial, seed);
+      verify::VerifyComparisonGuarantee(spec, options, /*jobs=*/1, seed);
   const verify::GuaranteeReport b =
-      verify::VerifyComparisonGuarantee(spec, options, &wide, seed);
+      verify::VerifyComparisonGuarantee(spec, options, /*jobs=*/2, seed);
 
   if (a.trials != b.trials || a.errors != b.errors || a.ties != b.ties ||
       a.error_rate != b.error_rate || a.wilson_lo != b.wilson_lo ||

@@ -14,7 +14,7 @@
 // CrowdPlatform's own counters are O(1).
 //
 // Single-threaded is a *contract*, not an accident: under the parallel
-// experiment engine (exec/run_engine.h) each run constructs its recorder
+// repetition fan-out (exec/parallel_for.h) each run constructs its recorder
 // inside its own task, so one recorder is only ever touched by one thread.
 // In debug builds the recorder latches the first recording thread's id and
 // CHECK-fails if any other thread records into it, so a recorder shared

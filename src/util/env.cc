@@ -114,10 +114,6 @@ int64_t BenchJobs() {
   return jobs < 0 ? 0 : jobs;
 }
 
-std::string RegistryPath() { return GetEnvString("CROWDTOPK_REGISTRY", ""); }
-
-bool ProgressEnabled() { return GetEnvBool("CROWDTOPK_PROGRESS", false); }
-
 bool TraceEnabled() { return GetEnvBool("CROWDTOPK_TRACE", false); }
 
 std::string TraceDir() { return GetEnvString("CROWDTOPK_TRACE_DIR", "."); }

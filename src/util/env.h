@@ -38,23 +38,13 @@ int64_t BenchRuns(int64_t fallback = 5);
 // Master seed for benches; override with CROWDTOPK_SEED.
 uint64_t BenchSeed(uint64_t fallback = 20170514);  // SIGMOD'17 opening day.
 
-// Worker threads for the parallel experiment engine (exec/run_engine.h):
-// CROWDTOPK_JOBS, read by the bench harness and crowdtopk_verify only (the
-// serving CLIs run each replay on one thread). 1 runs everything inline on
-// the calling thread, 0/unset means hardware concurrency. Results are
-// bit-identical for every value (per-run SplitSeed streams + canonical-
-// order reduction); the knob only changes wall-clock time.
+// Worker threads for the repetitions of one experiment point
+// (exec/parallel_for.h): CROWDTOPK_JOBS, read by the bench harness and
+// crowdtopk_verify only (the serving CLIs run each replay on one thread).
+// 1 runs everything inline on the calling thread, 0/unset means hardware
+// concurrency. Results are bit-identical for every value (per-run SplitSeed
+// streams + run-order reduction); the knob only changes wall-clock time.
 int64_t BenchJobs();
-
-// JSONL run-registry path (CROWDTOPK_REGISTRY). When set, every completed
-// (experiment, point, run) record is appended there and already-recorded
-// runs are skipped on the next invocation, so an interrupted sweep resumes
-// where it stopped. Empty (the default) disables the registry.
-std::string RegistryPath();
-
-// CROWDTOPK_PROGRESS=1 makes the engine report runs/points completed on
-// stderr while a sweep is executing.
-bool ProgressEnabled();
 
 // CROWDTOPK_TRACE=1 makes the bench harness attach a telemetry recorder to
 // every traced run and dump machine-readable traces (JSONL + per-phase CSV)

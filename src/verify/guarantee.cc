@@ -9,6 +9,7 @@
 #include "crowd/platform.h"
 #include "data/gaussian_dataset.h"
 #include "data/generators.h"
+#include "exec/parallel_for.h"
 #include "stats/binomial.h"
 #include "stats/student_t.h"
 #include "telemetry/export.h"
@@ -37,11 +38,9 @@ std::string PhaseToken(const std::string& label) {
 // arithmetic that feeds the rule is integer, so the trajectory is exact.
 GuaranteeReport RunSequential(
     const std::string& label, const std::string& kind, double alpha,
-    double contract, const VerifyOptions& options, exec::RunEngine* engine,
+    double contract, const VerifyOptions& options, int64_t jobs,
     uint64_t seed,
-    const std::function<std::vector<double>(int64_t, uint64_t)>& trial,
-    int64_t jobs_override) {
-  CROWDTOPK_CHECK(engine != nullptr);
+    const std::function<std::vector<double>(int64_t, uint64_t)>& trial) {
   CROWDTOPK_CHECK_GE(options.max_trials, 1);
   CROWDTOPK_CHECK_GE(options.block_trials, 1);
   CROWDTOPK_CHECK(contract > 0.0 && contract < 1.0);
@@ -54,22 +53,18 @@ GuaranteeReport RunSequential(
 
   int64_t runs = 0;
   double workload_sum = 0.0;
-  int64_t block_index = 0;
   while (runs < options.max_trials) {
     const int64_t block =
         std::min(options.block_trials, options.max_trials - runs);
     const int64_t base = runs;
     // Trial t's seed is SplitSeed(seed, t) regardless of which block or
-    // worker executes it; the engine-provided per-run seed is ignored so
-    // the stream survives re-blocking.
-    const std::vector<std::vector<double>> records = engine->Run(
-        {"verify/" + kind + "/" + label, block_index}, block, seed,
-        [&](int64_t run, uint64_t) {
+    // worker executes it; RunAll's per-run seed is ignored so the stream
+    // survives re-blocking.
+    const std::vector<std::vector<double>> records = exec::RunAll(
+        block, seed, jobs, [&](int64_t run, uint64_t) {
           const int64_t t = base + run;
           return trial(t, util::SplitSeed(seed, static_cast<uint64_t>(t)));
-        },
-        jobs_override);
-    ++block_index;
+        });
     for (const std::vector<double>& record : records) {
       report.errors += std::llround(record[0]);
       report.ties += std::llround(record[1]);
@@ -107,8 +102,7 @@ const char* VerdictName(Verdict verdict) {
 
 GuaranteeReport VerifyComparisonGuarantee(const CompCheckSpec& spec,
                                           const VerifyOptions& options,
-                                          exec::RunEngine* engine,
-                                          uint64_t seed) {
+                                          int64_t jobs, uint64_t seed) {
   CROWDTOPK_CHECK(spec.alpha > 0.0 && spec.alpha < 1.0);
   CROWDTOPK_CHECK(spec.effect > 0.0);
   // Ground truth: item 1 beats item 0; one judgment has mean/sd = effect.
@@ -129,8 +123,8 @@ GuaranteeReport VerifyComparisonGuarantee(const CompCheckSpec& spec,
   comparison.estimator = spec.estimator;
 
   return RunSequential(
-      spec.label, "comp", spec.alpha, /*contract=*/spec.alpha, options,
-      engine, seed,
+      spec.label, "comp", spec.alpha, /*contract=*/spec.alpha, options, jobs,
+      seed,
       [&](int64_t, uint64_t trial_seed) -> std::vector<double> {
         crowd::CrowdPlatform platform(oracle, trial_seed);
         // Per-trial handle: df below the shared bound read the process-wide
@@ -143,13 +137,12 @@ GuaranteeReport VerifyComparisonGuarantee(const CompCheckSpec& spec,
         return {outcome == crowd::ComparisonOutcome::kRightWins ? 1.0 : 0.0,
                 outcome == crowd::ComparisonOutcome::kTie ? 1.0 : 0.0,
                 static_cast<double>(session.workload()), 1.0};
-      },
-      options.jobs_override);
+      });
 }
 
 GuaranteeReport VerifySprGuarantee(const SprCheckSpec& spec,
-                                   const VerifyOptions& options,
-                                   exec::RunEngine* engine, uint64_t seed) {
+                                   const VerifyOptions& options, int64_t jobs,
+                                   uint64_t seed) {
   CROWDTOPK_CHECK(spec.alpha > 0.0 && spec.alpha < 1.0);
   CROWDTOPK_CHECK(spec.k >= 1 && spec.k <= spec.n);
   const std::unique_ptr<data::GaussianDataset> ladder =
@@ -166,15 +159,14 @@ GuaranteeReport VerifySprGuarantee(const SprCheckSpec& spec,
   spr_options.comparison.budget = spec.budget;
   spr_options.sweet_spot_c = spec.sweet_spot_c;
   core::Spr spr(spr_options);
-  const int64_t jobs_override =
-      spr.concurrent_runs_safe() ? options.jobs_override : 1;
+  if (!spr.concurrent_runs_safe()) jobs = 1;
 
   // Section 5.4: expected precision >= (1 - alpha) / c, i.e. the per-slot
   // top-k error rate is contracted to stay below 1 - (1 - alpha) / c.
   const double contract =
       1.0 - core::SprPrecisionLowerBound(spec.alpha, spec.sweet_spot_c);
   return RunSequential(
-      spec.label, "spr", spec.alpha, contract, options, engine, seed,
+      spec.label, "spr", spec.alpha, contract, options, jobs, seed,
       [&](int64_t, uint64_t trial_seed) -> std::vector<double> {
         crowd::CrowdPlatform platform(oracle, trial_seed);
         const core::TopKResult result = spr.Run(&platform, spec.k);
@@ -186,8 +178,7 @@ GuaranteeReport VerifySprGuarantee(const SprCheckSpec& spec,
         return {static_cast<double>(wrong), 0.0,
                 static_cast<double>(result.total_microtasks),
                 static_cast<double>(result.items.size())};
-      },
-      jobs_override);
+      });
 }
 
 std::vector<telemetry::TraceEvent> ReportEvents(

@@ -7,7 +7,7 @@
 // the empirical error rate on a ground-truth oracle — clean or wrapped in a
 // fault::FaultInjectionOracle — and judge it against the contract with a
 // shared Wilson pass/fail band (stats::WilsonScoreInterval). Trials are
-// fanned out in fixed-size blocks on the exec::RunEngine with per-trial
+// fanned out in fixed-size blocks with exec::RunAll and per-trial
 // SplitSeed streams, and the sequential early-stop rule only looks at
 // block-boundary integer counts, so a check's full trajectory — trial
 // results, stopping point, verdict — is bit-identical for any worker count.
@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/run_engine.h"
 #include "fault/injector.h"
 #include "judgment/comparison.h"
 #include "telemetry/events.h"
@@ -35,15 +34,13 @@ struct VerifyOptions {
   // Upper bound on Monte-Carlo trials per check.
   int64_t max_trials = 400;
   // Trials per sequential block; the early-stop rule is evaluated at block
-  // boundaries only (what keeps the trajectory independent of the engine's
-  // worker count).
+  // boundaries only (what keeps the trajectory independent of the worker
+  // count).
   int64_t block_trials = 50;
   // Significance of the Wilson pass/fail band. Deliberately much stricter
   // than the contracts under test: a check only fails when the violation is
   // overwhelming, not on Monte-Carlo noise.
   double band_alpha = 0.002;
-  // Per-check engine worker override; 0 = engine default.
-  int64_t jobs_override = 0;
 };
 
 // One COMP error-rate check: a two-item ground-truth pair whose single
@@ -105,19 +102,19 @@ struct GuaranteeReport {
   Verdict verdict = Verdict::kPass;
 };
 
-// Estimates COMP's empirical error rate against its 1 - alpha contract.
+// Estimates COMP's empirical error rate against its 1 - alpha contract,
+// running each block's trials on `jobs` workers (0 = hardware concurrency).
 // Trial t draws everything from SplitSeed(seed, t) — independent of block
 // size, dispatch order, and worker count.
 GuaranteeReport VerifyComparisonGuarantee(const CompCheckSpec& spec,
                                           const VerifyOptions& options,
-                                          exec::RunEngine* engine,
-                                          uint64_t seed);
+                                          int64_t jobs, uint64_t seed);
 
 // Estimates SPR's per-slot top-k error rate against the Section 5.4 bound
 // (contract: error <= 1 - (1 - alpha) / c).
 GuaranteeReport VerifySprGuarantee(const SprCheckSpec& spec,
-                                   const VerifyOptions& options,
-                                   exec::RunEngine* engine, uint64_t seed);
+                                   const VerifyOptions& options, int64_t jobs,
+                                   uint64_t seed);
 
 // Serialises reports as telemetry counter events — one phase per check
 // ("verify/<kind>_<label>"), one counter per field — ready for the JSONL

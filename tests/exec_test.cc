@@ -1,15 +1,11 @@
-// Tests for the parallel experiment-execution subsystem (src/exec): the
-// work-stealing thread pool, deterministic parallel_for, result sink,
-// run registry (resume), run engine, and — the property everything above
-// exists to guarantee — bit-identical bench results for any worker count.
-
-#include <unistd.h>
+// Tests for the parallel repetition fan-out (src/exec): exactly-once
+// ParallelFor with smallest-index rethrow, RunAll's per-run seeds, run-order
+// ColumnMeans, and — the property all three exist to guarantee —
+// bit-identical bench results for any worker count.
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -23,9 +19,6 @@
 #include "core/spr.h"
 #include "data/generators.h"
 #include "exec/parallel_for.h"
-#include "exec/result_sink.h"
-#include "exec/run_engine.h"
-#include "exec/thread_pool.h"
 #include "util/random.h"
 
 namespace crowdtopk {
@@ -66,66 +59,14 @@ TEST(SplitSeedTest, StreamsAreStatisticallyDistinct) {
             first_draws.end());
 }
 
-// --------------------------------------------------------------- ThreadPool
-
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  std::atomic<int64_t> count{0};
-  {
-    exec::ThreadPool pool(4);
-    for (int i = 0; i < 1000; ++i) {
-      pool.Submit([&count] { count.fetch_add(1); });
-    }
-    pool.Drain();
-    EXPECT_EQ(count.load(), 1000);
-  }
-}
-
-TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
-  std::atomic<int64_t> count{0};
-  {
-    exec::ThreadPool pool(2);
-    for (int i = 0; i < 500; ++i) {
-      pool.Submit([&count] { count.fetch_add(1); });
-    }
-    // No Drain(): destruction itself must wait for all 500.
-  }
-  EXPECT_EQ(count.load(), 500);
-}
-
-TEST(ThreadPoolTest, SingleThreadPoolStillRunsTasks) {
-  std::atomic<int64_t> count{0};
-  exec::ThreadPool pool(1);
-  for (int i = 0; i < 50; ++i) pool.Submit([&count] { count.fetch_add(1); });
-  pool.Drain();
-  EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPoolTest, SubmitFromWorkerThreads) {
-  // Nested submission: tasks submitting tasks (the work-stealing deques'
-  // LIFO/steal split exists for exactly this shape).
-  std::atomic<int64_t> count{0};
-  exec::ThreadPool pool(4);
-  for (int i = 0; i < 20; ++i) {
-    pool.Submit([&pool, &count] {
-      for (int j = 0; j < 10; ++j) {
-        pool.Submit([&count] { count.fetch_add(1); });
-      }
-    });
-  }
-  pool.Drain();
-  EXPECT_EQ(count.load(), 200);
-}
-
 // -------------------------------------------------------------- ParallelFor
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   constexpr int64_t kN = 20000;
-  exec::ThreadPool pool(8);
   std::vector<std::atomic<int32_t>> hits(kN);
   for (auto& h : hits) h.store(0);
   // Tiny body => maximal contention on the index cursor.
-  exec::ParallelFor(&pool, 0, kN,
-                    [&hits](int64_t i) { hits[i].fetch_add(1); });
+  exec::ParallelFor(8, kN, [&hits](int64_t i) { hits[i].fetch_add(1); });
   for (int64_t i = 0; i < kN; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
@@ -133,16 +74,17 @@ TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
 
 TEST(ParallelForTest, SerialPathMatchesContract) {
   std::vector<int> hits(100, 0);
-  exec::ParallelFor(nullptr, 0, 100, [&hits](int64_t i) { hits[i]++; });
+  exec::ParallelFor(1, 100, [&hits](int64_t i) { hits[i]++; });
   for (int h : hits) EXPECT_EQ(h, 1);
-  exec::ParallelFor(nullptr, 5, 5, [](int64_t) { FAIL(); });  // empty range
+  exec::ParallelFor(0, 100, [&hits](int64_t i) { hits[i]++; });
+  for (int h : hits) EXPECT_EQ(h, 2);
+  exec::ParallelFor(8, 0, [](int64_t) { FAIL(); });  // empty range
 }
 
 TEST(ParallelForTest, PropagatesSmallestFailingIndex) {
-  exec::ThreadPool pool(4);
   for (int repeat = 0; repeat < 3; ++repeat) {
     try {
-      exec::ParallelFor(&pool, 0, 1000, [](int64_t i) {
+      exec::ParallelFor(4, 1000, [](int64_t i) {
         if (i % 250 == 37) {  // fails at 37, 287, 537, 787
           throw std::runtime_error("boom " + std::to_string(i));
         }
@@ -152,105 +94,19 @@ TEST(ParallelForTest, PropagatesSmallestFailingIndex) {
       EXPECT_STREQ(e.what(), "boom 37");
     }
   }
-  // The pool survives exceptions and stays usable.
+  // Every index still runs when some of them throw.
   std::atomic<int64_t> count{0};
-  exec::ParallelFor(&pool, 0, 64, [&count](int64_t) { count.fetch_add(1); });
+  try {
+    exec::ParallelFor(4, 64, [&count](int64_t i) {
+      count.fetch_add(1);
+      if (i == 3) throw std::runtime_error("boom");
+    });
+  } catch (const std::runtime_error&) {
+  }
   EXPECT_EQ(count.load(), 64);
 }
 
-// --------------------------------------------------------------- ResultSink
-
-TEST(ResultSinkTest, ReducesInCanonicalOrder) {
-  exec::ResultSink sink(3);
-  // Out-of-order deposit, as a parallel schedule would produce.
-  sink.Put(2, {3.0, 30.0});
-  EXPECT_FALSE(sink.Complete());
-  sink.Put(0, {1.0, 10.0});
-  sink.Put(1, {2.0, 20.0});
-  EXPECT_TRUE(sink.Complete());
-  const std::vector<double> mean = sink.Mean();
-  ASSERT_EQ(mean.size(), 2u);
-  EXPECT_DOUBLE_EQ(mean[0], 2.0);
-  EXPECT_DOUBLE_EQ(mean[1], 20.0);
-  const auto records = sink.Take();
-  ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[0], (std::vector<double>{1.0, 10.0}));
-  EXPECT_EQ(records[2], (std::vector<double>{3.0, 30.0}));
-}
-
-// -------------------------------------------------------------- RunRegistry
-
-std::string TempPath(const char* name) {
-  const char* dir = std::getenv("TMPDIR");
-  return std::string(dir != nullptr ? dir : "/tmp") + "/" + name + "." +
-         std::to_string(::getpid());
-}
-
-TEST(RunRegistryTest, RoundTripsThroughTheJournalFile) {
-  const std::string path = TempPath("crowdtopk_registry_roundtrip");
-  std::remove(path.c_str());
-  const exec::RunKey key{"exp \"quoted\"", 3};
-  const std::vector<double> values = {88233.0, 57.0, 0.98123456789012345,
-                                      1.0 / 3.0};
-  {
-    exec::RunRegistry registry(path);
-    registry.Record(key, 7, 123456789, values);
-    EXPECT_EQ(registry.size(), 1);
-    std::vector<double> loaded;
-    ASSERT_TRUE(registry.Lookup(key, 7, 123456789, &loaded));
-    EXPECT_EQ(loaded, values);
-  }
-  // A fresh registry object must reload the entry from disk, bit-exactly.
-  exec::RunRegistry reloaded(path);
-  EXPECT_EQ(reloaded.size(), 1);
-  std::vector<double> loaded;
-  ASSERT_TRUE(reloaded.Lookup(key, 7, 123456789, &loaded));
-  EXPECT_EQ(loaded, values);
-  // Different run / seed / point: miss.
-  EXPECT_FALSE(reloaded.Lookup(key, 8, 123456789, &loaded));
-  EXPECT_FALSE(reloaded.Lookup(key, 7, 5, &loaded));
-  EXPECT_FALSE(reloaded.Lookup({key.experiment, 4}, 7, 123456789, &loaded));
-  std::remove(path.c_str());
-}
-
-TEST(RunRegistryTest, EngineSkipsRecordedRuns) {
-  const std::string path = TempPath("crowdtopk_registry_resume");
-  std::remove(path.c_str());
-  const exec::RunKey key{"resume_test", 0};
-  std::atomic<int64_t> executed{0};
-  const auto task = [&executed](int64_t r, uint64_t) -> std::vector<double> {
-    executed.fetch_add(1);
-    return {static_cast<double>(r) * 1.5};
-  };
-  std::vector<std::vector<double>> first;
-  {
-    exec::RunRegistry registry(path);
-    exec::RunEngine::Options options;
-    options.jobs = 2;
-    options.registry = &registry;
-    exec::RunEngine engine(options);
-    first = engine.Run(key, 10, 99, task);
-    EXPECT_EQ(executed.load(), 10);
-  }
-  {
-    // Same key + seed, fresh process simulated by a fresh registry: every
-    // run is served from the journal, none re-executed.
-    exec::RunRegistry registry(path);
-    exec::RunEngine::Options options;
-    options.jobs = 2;
-    options.registry = &registry;
-    exec::RunEngine engine(options);
-    const auto second = engine.Run(key, 10, 99, task);
-    EXPECT_EQ(executed.load(), 10) << "resume re-executed recorded runs";
-    EXPECT_EQ(second, first);
-    // A different master seed derives different run seeds: all re-run.
-    engine.Run(key, 10, 100, task);
-    EXPECT_EQ(executed.load(), 20);
-  }
-  std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------- RunEngine
+// ------------------------------------------------------------------- RunAll
 
 TEST(RunEngineTest, SeedsAreIndependentOfWorkerCount) {
   const auto task = [](int64_t r, uint64_t run_seed) -> std::vector<double> {
@@ -259,46 +115,28 @@ TEST(RunEngineTest, SeedsAreIndependentOfWorkerCount) {
     util::Rng rng(run_seed);
     return {rng.Uniform(), static_cast<double>(rng.UniformInt(1000))};
   };
-  exec::RunEngine::Options serial_options;
-  serial_options.jobs = 1;
-  exec::RunEngine serial(serial_options);
-  exec::RunEngine::Options wide_options;
-  wide_options.jobs = 8;
-  exec::RunEngine wide(wide_options);
-  const exec::RunKey key{"engine_test", 0};
-  const auto a = serial.Run(key, 64, 2024, task);
-  const auto b = wide.Run(key, 64, 2024, task);
+  const auto a = exec::RunAll(64, 2024, /*jobs=*/1, task);
+  const auto b = exec::RunAll(64, 2024, /*jobs=*/8, task);
   EXPECT_EQ(a, b);
-  const auto ma = serial.RunMean(key, 64, 2024, task);
-  const auto mb = wide.RunMean(key, 64, 2024, task);
-  ASSERT_EQ(ma.size(), mb.size());
-  for (size_t c = 0; c < ma.size(); ++c) {
-    EXPECT_EQ(ma[c], mb[c]) << "column " << c << " not bit-identical";
+  // jobs = 0 means hardware concurrency.
+  EXPECT_EQ(exec::RunAll(64, 2024, /*jobs=*/0, task), a);
+  EXPECT_GE(exec::ResolveJobs(0), 1);
+  EXPECT_EQ(exec::ResolveJobs(3), 3);
+  // ColumnMeans performs the serial loop's additions, in run order.
+  std::vector<double> sums(2, 0.0);
+  for (const std::vector<double>& record : b) {
+    sums[0] += record[0];
+    sums[1] += record[1];
   }
+  const std::vector<double> means = exec::ColumnMeans(b);
+  ASSERT_EQ(means.size(), 2u);
+  EXPECT_EQ(means[0], sums[0] / 64.0);
+  EXPECT_EQ(means[1], sums[1] / 64.0);
+  EXPECT_TRUE(exec::ColumnMeans({}).empty());
 }
 
-TEST(RunEngineTest, ReportsProgress) {
-  std::atomic<int64_t> calls{0};
-  std::atomic<int64_t> saw_total{0};
-  exec::RunEngine::Options options;
-  options.jobs = 4;
-  options.progress = [&](const exec::RunKey& key, int64_t done,
-                         int64_t total) {
-    EXPECT_EQ(key.experiment, "progress_test");
-    EXPECT_GE(done, 1);
-    EXPECT_LE(done, total);
-    calls.fetch_add(1);
-    if (done == total) saw_total.fetch_add(1);
-  };
-  exec::RunEngine engine(options);
-  engine.Run({"progress_test", 0}, 25, 1,
-             [](int64_t, uint64_t) -> std::vector<double> { return {1.0}; });
-  EXPECT_EQ(calls.load(), 25);
-  EXPECT_EQ(saw_total.load(), 1);
-}
-
-// --------------------------------------- the property the subsystem exists
-// for: AverageRuns is bit-identical for 1 and 8 jobs, on SPR plus two
+// ------------------------------------ the property the fan-out exists for:
+// AverageRuns is bit-identical for 1 and 8 jobs, on SPR plus two
 // confidence-aware baselines.
 
 TEST(AverageRunsDeterminismTest, EightJobsBitIdenticalToSerial) {
@@ -314,9 +152,9 @@ TEST(AverageRunsDeterminismTest, EightJobsBitIdenticalToSerial) {
   algorithms.push_back(std::make_unique<baselines::HeapSortTopK>(options));
   for (const auto& algorithm : algorithms) {
     const bench::Averages serial = bench::AverageRunsWithJobs(
-        *dataset, algorithm.get(), 4, 12, 20170514, /*jobs_override=*/1);
+        *dataset, algorithm.get(), 4, 12, 20170514, /*jobs=*/1);
     const bench::Averages parallel = bench::AverageRunsWithJobs(
-        *dataset, algorithm.get(), 4, 12, 20170514, /*jobs_override=*/8);
+        *dataset, algorithm.get(), 4, 12, 20170514, /*jobs=*/8);
     // EXPECT_EQ, not EXPECT_NEAR: the contract is bit-identical.
     EXPECT_EQ(serial.tmc, parallel.tmc) << algorithm->name();
     EXPECT_EQ(serial.rounds, parallel.rounds) << algorithm->name();

@@ -1,12 +1,12 @@
 // Tests for the fault-injection layer: seed-pure worker profiles, the
 // documented composition order, pass-through byte-identity at zero rates,
-// and bit-identical faulty sweeps for any engine worker count.
+// and bit-identical faulty sweeps for any worker count.
 
 #include <cstdint>
 #include <vector>
 
 #include "data/gaussian_dataset.h"
-#include "exec/run_engine.h"
+#include "exec/parallel_for.h"
 #include "fault/injector.h"
 #include "gtest/gtest.h"
 #include "util/random.h"
@@ -170,7 +170,7 @@ TEST(FaultInjectionOracleTest, CompositionOrderLaterStagesWin) {
   }
 }
 
-// The flagship contract: a faulty sweep fanned out on the run engine is
+// The flagship contract: a faulty sweep fanned out with exec::RunAll is
 // bit-identical for jobs=1 and jobs=8, sharing one injector across runs.
 TEST(FaultInjectionOracleTest, FaultySweepIsBitIdenticalAcrossJobs) {
   data::GaussianDataset base("pair", {0.0, 1.0}, 2.0, 10.0);
@@ -182,12 +182,8 @@ TEST(FaultInjectionOracleTest, FaultySweepIsBitIdenticalAcrossJobs) {
   const FaultInjectionOracle injector(&base, plan, 77);
 
   const auto sweep = [&](int64_t jobs) {
-    exec::RunEngine::Options engine_options;
-    engine_options.jobs = jobs;
-    exec::RunEngine engine(engine_options);
-    return engine.Run(
-        {"fault_sweep", 0}, /*runs=*/16, /*master_seed=*/2024,
-        [&](int64_t, uint64_t run_seed) {
+    return exec::RunAll(
+        /*runs=*/16, /*seed=*/2024, jobs, [&](int64_t, uint64_t run_seed) {
           util::Rng rng(run_seed);
           std::vector<double> values;
           for (int t = 0; t < 64; ++t) {

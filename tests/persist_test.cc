@@ -117,6 +117,29 @@ TEST(FormatTest, DecodeRejectsMalformedPayloads) {
   EXPECT_FALSE(DecodeRecord(admit.substr(0, admit.size() - 1), &out));
 }
 
+// Entries that JudgmentCache::RestoreEntries or a top-up seed would CHECK
+// on: each must be refused at decode time rather than abort recovery.
+std::vector<cache::ExportedEntry> UnrestorableEntries() {
+  std::vector<cache::ExportedEntry> bad(6, SampleEntry());
+  bad[0].hi = bad[0].lo;  // lo == hi
+  bad[1].lo = 9;           // lo > hi
+  bad[1].hi = 4;
+  bad[2].lo = -1;
+  bad[3].entry.count = 0;
+  bad[4].kind = 2;  // outside JudgmentKind
+  bad[5].kind = -1;
+  return bad;
+}
+
+TEST(FormatTest, DecodeRejectsUnrestorableCacheEntries) {
+  WalRecord out;
+  for (const cache::ExportedEntry& entry : UnrestorableEntries()) {
+    EXPECT_FALSE(DecodeRecord(EncodeCacheInsert(entry), &out))
+        << "kind=" << entry.kind << " lo=" << entry.lo << " hi=" << entry.hi
+        << " count=" << entry.entry.count;
+  }
+}
+
 TEST(FormatTest, FileNamesRoundTrip) {
   int64_t id = -1;
   EXPECT_TRUE(ParseWalSegmentName(WalSegmentName(42), &id));
@@ -284,6 +307,20 @@ TEST(SnapshotTest, CorruptSnapshotIsRejected) {
   ASSERT_TRUE(util::WriteFileAtomic(path, bytes).ok());
   SnapshotData loaded;
   EXPECT_FALSE(ReadSnapshot(path, &loaded).ok());
+}
+
+TEST(SnapshotTest, UnrestorableCacheEntryIsRejected) {
+  const std::string dir = FreshDir("snapshot_unrestorable");
+  const std::string path = dir + "/" + SnapshotName(1);
+  for (const cache::ExportedEntry& entry : UnrestorableEntries()) {
+    SnapshotData data = SampleSnapshot();
+    data.cache_entries = {entry};
+    ASSERT_TRUE(WriteSnapshot(path, data, nullptr).ok());
+    SnapshotData loaded;
+    EXPECT_FALSE(ReadSnapshot(path, &loaded).ok())
+        << "kind=" << entry.kind << " lo=" << entry.lo << " hi=" << entry.hi
+        << " count=" << entry.entry.count;
+  }
 }
 
 TEST(SnapshotTest, LoadLatestFallsBackOverCorruptNewest) {

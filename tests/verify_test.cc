@@ -1,6 +1,6 @@
 // Tests for the statistical-guarantee verification harness (src/verify):
 // clean-crowd contracts pass, a deliberately broken crowd is caught with a
-// decisive FAIL, reports are bit-identical across engine worker counts, and
+// decisive FAIL, reports are bit-identical across worker counts, and
 // the telemetry serialisation follows the documented schema.
 
 #include <cstdio>
@@ -9,18 +9,11 @@
 #include <string>
 #include <vector>
 
-#include "exec/run_engine.h"
 #include "gtest/gtest.h"
 #include "verify/guarantee.h"
 
 namespace crowdtopk::verify {
 namespace {
-
-exec::RunEngine MakeEngine(int64_t jobs) {
-  exec::RunEngine::Options options;
-  options.jobs = jobs;
-  return exec::RunEngine(options);
-}
 
 VerifyOptions SmallOptions() {
   VerifyOptions options;
@@ -33,9 +26,8 @@ TEST(VerifyComparisonTest, CleanCrowdHoldsTheContract) {
   CompCheckSpec spec;
   spec.label = "student_clean";
   spec.alpha = 0.1;
-  exec::RunEngine engine = MakeEngine(1);
   const GuaranteeReport report =
-      VerifyComparisonGuarantee(spec, SmallOptions(), &engine, 7);
+      VerifyComparisonGuarantee(spec, SmallOptions(), /*jobs=*/1, 7);
   EXPECT_EQ(report.kind, "comp");
   EXPECT_EQ(report.contract, spec.alpha);
   EXPECT_GT(report.trials, 0);
@@ -57,9 +49,8 @@ TEST(VerifyComparisonTest, AdversarialCrowdFailsDecisively) {
   spec.faults.adversary_fraction = 1.0;
   VerifyOptions options = SmallOptions();
   options.max_trials = 200;
-  exec::RunEngine engine = MakeEngine(1);
   const GuaranteeReport report =
-      VerifyComparisonGuarantee(spec, options, &engine, 7);
+      VerifyComparisonGuarantee(spec, options, /*jobs=*/1, 7);
   EXPECT_EQ(report.verdict, Verdict::kFail);
   EXPECT_TRUE(report.decisive);
   EXPECT_LT(report.trials, 200);  // early stop fired
@@ -72,9 +63,8 @@ TEST(VerifySprTest, SeparableLadderHoldsTheBound) {
   spec.label = "spr_clean";
   spec.n = 12;
   spec.k = 3;
-  exec::RunEngine engine = MakeEngine(1);
   const GuaranteeReport report =
-      VerifySprGuarantee(spec, SmallOptions(), &engine, 9);
+      VerifySprGuarantee(spec, SmallOptions(), /*jobs=*/1, 9);
   EXPECT_EQ(report.kind, "spr");
   // Contract: error <= 1 - (1 - alpha) / c.
   EXPECT_NEAR(report.contract, 1.0 - (1.0 - spec.alpha) / spec.sweet_spot_c,
@@ -96,8 +86,7 @@ TEST(VerifyHarnessTest, ReportBitIdenticalAcrossJobs) {
   GuaranteeReport reports[2];
   const int64_t jobs[] = {1, 8};
   for (int v = 0; v < 2; ++v) {
-    exec::RunEngine engine = MakeEngine(jobs[v]);
-    reports[v] = VerifyComparisonGuarantee(spec, SmallOptions(), &engine, 41);
+    reports[v] = VerifyComparisonGuarantee(spec, SmallOptions(), jobs[v], 41);
   }
   EXPECT_EQ(reports[0].trials, reports[1].trials);
   EXPECT_EQ(reports[0].errors, reports[1].errors);

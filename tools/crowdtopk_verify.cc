@@ -37,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/run_engine.h"
 #include "fault/injector.h"
 #include "judgment/comparison.h"
 #include "util/check.h"
@@ -169,9 +168,7 @@ int main(int argc, char** argv) {
   const fault::FaultPlan faults = EnvFaultPlan();
   const bool faulty_sweep = fault::AnyValueFaults(faults);
 
-  exec::RunEngine::Options engine_options;
-  engine_options.jobs = util::BenchJobs();
-  exec::RunEngine engine(engine_options);
+  const int64_t jobs = util::BenchJobs();
 
   // The worker count is deliberately absent from the report: the output is
   // byte-identical for every CROWDTOPK_JOBS value, and CI diffs it.
@@ -196,14 +193,14 @@ int main(int argc, char** argv) {
   int clean_failures = 0;
   const auto run_comp = [&](const verify::CompCheckSpec& spec, bool clean) {
     const verify::GuaranteeReport report =
-        verify::VerifyComparisonGuarantee(spec, options, &engine, seed);
+        verify::VerifyComparisonGuarantee(spec, options, jobs, seed);
     PrintReport(report);
     if (clean && report.verdict == verify::Verdict::kFail) ++clean_failures;
     reports.push_back(report);
   };
   const auto run_spr = [&](const verify::SprCheckSpec& spec, bool clean) {
     const verify::GuaranteeReport report =
-        verify::VerifySprGuarantee(spec, options, &engine, seed);
+        verify::VerifySprGuarantee(spec, options, jobs, seed);
     PrintReport(report);
     if (clean && report.verdict == verify::Verdict::kFail) ++clean_failures;
     reports.push_back(report);
